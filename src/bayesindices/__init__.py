@@ -14,6 +14,7 @@ from .errors import (
     ConvergenceError,
     DegenerateDataError,
     DegenerateDensityError,
+    FloatRangeError,
     InputError,
     InsufficientSamplesError,
     InvalidArgumentError,
@@ -94,9 +95,9 @@ __all__ = [
     "__version__",
     # errors
     "BayesIndicesError", "ConvergenceError", "DegenerateDataError",
-    "DegenerateDensityError", "InputError", "InsufficientSamplesError",
-    "InvalidArgumentError", "MultimodalHpdError", "OutOfSupportError",
-    "TruncatedSupportError",
+    "DegenerateDensityError", "FloatRangeError", "InputError",
+    "InsufficientSamplesError", "InvalidArgumentError", "MultimodalHpdError",
+    "OutOfSupportError", "TruncatedSupportError",
     # posterior representations and geometry
     "CredibleInterval", "DensityGrid", "MapEstimate", "ReferenceFunction",
     "SampleSet", "grid_mean", "grid_quantile", "hpd_interval", "kde_density",

@@ -24,7 +24,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .indices import fbst_evalue, rope_decision, surprise_function
-from .posterior import DensityGrid, ReferenceFunction, map_estimate
+from .posterior import ReferenceFunction, map_estimate
 from .report import AnalysisConfig, IndexReport, run_all_indices
 from .replicate import run_replication
 from .ttest import (
@@ -33,7 +33,6 @@ from .ttest import (
     TWO_SIDED,
     CauchyPrior,
     TwoSampleData,
-    bf_quadrature_error,
     cohen_d,
     jzs_bayes_factor,
     posterior_density_grid,
@@ -137,35 +136,22 @@ def _data_digest(data: TwoSampleData) -> dict[str, Any]:
     }
 
 
-def _prior_grid_for(prior: CauchyPrior, posterior: DensityGrid, alternative: str) -> DensityGrid:
-    """Prior tabulated on the posterior's points; one-sided alternatives use
-    the half-line prior (doubled density on the retained side)."""
-    factor = 1.0 if alternative == TWO_SIDED else 2.0
-    return DensityGrid(posterior.points, factor * prior.density(posterior.points))
-
-
 def _build_analysis(data: TwoSampleData, config: AnalysisConfig):
     stats = sufficient_stats(data)
     prior = CauchyPrior(config.scale)
     posterior = posterior_density_grid(
         stats, prior, grid_size=config.grid_size, alternative=config.alternative
     )
-    prior_grid = _prior_grid_for(prior, posterior, config.alternative)
+    prior_grid = prior.on_grid(posterior.points, config.alternative)
     return stats, prior, posterior, prior_grid
 
 
 def _analyze_report(data: TwoSampleData, config: AnalysisConfig) -> IndexReport:
     stats, prior, posterior, prior_grid = _build_analysis(data, config)
     # the analytic Bayes factor tests the zero null only
-    analytic = None
+    bf = None
     if config.null_value == 0.0:
-        analytic = jzs_bayes_factor(stats, prior, config.alternative).bf01
-    diagnostics = {
-        "bf01_quadrature_rel_error": (
-            bf_quadrature_error(stats, prior, config.alternative)
-            if analytic is not None else None
-        ),
-    }
+        bf = jzs_bayes_factor(stats, prior, config.alternative)
     report = run_all_indices(
         posterior,
         prior_grid,
@@ -173,8 +159,9 @@ def _analyze_report(data: TwoSampleData, config: AnalysisConfig) -> IndexReport:
         config.rope,
         config.hpd_mass,
         config.thresholds,
-        analytic_bf01=analytic,
-        extra_diagnostics=diagnostics,
+        analytic_bf01=None if bf is None else bf.bf01,
+        analytic_bf10=None if bf is None else bf.bf10,
+        extra_diagnostics={"bf01_quadrature_rel_error": None if bf is None else bf.rel_error},
     )
     report.config = config.echo()
     report.data = _data_digest(data)

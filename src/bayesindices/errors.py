@@ -51,3 +51,7 @@ class TruncatedSupportError(BayesIndicesError):
 
 class InputError(BayesIndicesError):
     """Malformed input file, configuration, or command-line usage."""
+
+
+class FloatRangeError(BayesIndicesError):
+    """A result known in log space does not fit a double-precision float."""

@@ -11,15 +11,14 @@ Bayes factor and checks every other index against its published value.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
-
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, InvalidArgumentError
 from .indices import Rope, fbst_evalue, map_p_value, probability_of_direction, rope_decision, rope_mass, savage_dickey_bf
 from .posterior import ReferenceFunction, map_estimate
-from .ttest import CauchyPrior, SufficientStats, jzs_bayes_factor, posterior_density_grid
+from .ttest import TWO_SIDED, CauchyPrior, SufficientStats, jzs_bayes_factor, posterior_density_grid
 
 REFERENCE_N = 50
 REFERENCE_PRIOR_SCALE = 1.0
@@ -42,6 +41,10 @@ REFERENCE_VALUES: dict[str, tuple[float, float]] = {
 
 TOLERANCE_PROFILES = {"strict": 1.0, "loose": 2.0}
 
+# calibration stops once a step moves t by no more than this
+_CALIBRATION_T_TOL = 1e-12
+_CALIBRATION_MAX_STEPS = 100
+
 
 def calibrate_reference_t(
     bf01_target: float = REFERENCE_BF01,
@@ -51,21 +54,49 @@ def calibrate_reference_t(
     """t statistic at which the analytic Bayes factor equals the target.
 
     bf01 is strictly decreasing in |t| for fixed design, so the positive
-    root is unique.
+    root is unique. The root is found by a secant in y = log(1 + t^2/df),
+    the variable in which the null's log predictive density is exactly
+    linear, so log bf01 is nearly linear as well; a step that leaves the
+    bracket on t in [0, 10] is replaced by bisection.
     """
     prior = CauchyPrior(prior_scale)
+    # no t reaches a nonpositive target; the bracket check below refuses it
+    log_target = math.log(bf01_target) if bf01_target > 0 else math.inf
+    df = 2 * n - 2
 
-    def objective(t: float) -> float:
-        stats = SufficientStats(t=t, df=2 * n - 2, n_eff=n / 2, n1=n, n2=n)
-        return jzs_bayes_factor(stats, prior).bf01 - bf01_target
+    def t_of(y: float) -> float:
+        return math.sqrt(df * math.expm1(y))
 
-    lo, hi = 0.0, 10.0
+    def objective(y: float) -> float:
+        stats = SufficientStats(t=t_of(y), df=df, n_eff=n / 2, n1=n, n2=n)
+        return jzs_bayes_factor(stats, prior).log_bf01 - log_target
+
+    lo, hi = 0.0, math.log1p(100.0 / df)
     f_lo, f_hi = objective(lo), objective(hi)
     if not (f_lo > 0 > f_hi):
         raise ConvergenceError(
-            f"Bayes-factor target {bf01_target} not bracketed on t in [{lo}, {hi}]"
+            f"Bayes-factor target {bf01_target} not bracketed on t in [0, 10]"
         )
-    return float(brentq(objective, lo, hi, xtol=1e-12, rtol=8.9e-16))
+    (x0, f0), (x1, f1) = (lo, f_lo), (hi, f_hi)
+    for _ in range(_CALIBRATION_MAX_STEPS):
+        x = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else lo
+        # a secant step inside the bracket is the error of the last iterate
+        if lo <= x <= hi and abs(t_of(x) - t_of(x1)) <= _CALIBRATION_T_TOL:
+            return t_of(x1)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = objective(x)
+        if fx == 0.0:
+            return t_of(x)
+        if fx > 0:
+            lo = x
+        else:
+            hi = x
+        (x0, f0), (x1, f1) = (x1, f1), (x, fx)
+    raise ConvergenceError(
+        f"t calibration for target {bf01_target} did not converge in "
+        f"{_CALIBRATION_MAX_STEPS} steps"
+    )
 
 
 def reference_analysis(grid_size: int = 4096) -> dict[str, Any]:
@@ -80,7 +111,7 @@ def reference_analysis(grid_size: int = 4096) -> dict[str, Any]:
     )
     prior = CauchyPrior(REFERENCE_PRIOR_SCALE)
     posterior = posterior_density_grid(stats, prior, grid_size=grid_size)
-    prior_grid = prior.on_grid(posterior.points)
+    prior_grid = prior.on_grid(posterior.points, TWO_SIDED)
 
     decision = rope_decision(posterior, REFERENCE_ROPE, REFERENCE_HPD_MASS)
     flat = fbst_evalue(posterior, ReferenceFunction.flat(), 0.0)

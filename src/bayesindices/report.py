@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import BayesIndicesError, InvalidArgumentError
@@ -151,7 +150,6 @@ def package_versions() -> dict[str, str]:
     return {
         "bayesindices": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
     }
 
 
@@ -193,6 +191,8 @@ class IndexReport:
     errors: dict[str, str]
     versions: dict[str, str]
     data: dict[str, Any] | None = None
+    # analytic bf10 from the Bayes-factor owner, for the text report only
+    analytic_bf10: float | None = None
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -244,8 +244,8 @@ class IndexReport:
                      "between the hypotheses?")
         bf_a = ind.get("bf01_analytic")
         if bf_a is not None:
-            lines.append(f"  bf01 = {bf_a:.4f} (predictive ratio), "
-                         f"bf10 = {1 / bf_a:.4f}")
+            bf10 = self.analytic_bf10 if self.analytic_bf10 is not None else 1 / bf_a
+            lines.append(f"  bf01 = {bf_a:.4f} (predictive ratio), bf10 = {bf10:.4f}")
         lines.append(f"  bf01 = {fmt('bf01_savage_dickey')} (density ratio at the null)")
         for scale_name, cat in (ind.get("bf_labels") or {}).items():
             lines.append(f"    {scale_name}: {cat['label']} ({cat['direction']})")
@@ -285,6 +285,7 @@ def run_all_indices(
     thresholds: Thresholds | None = None,
     *,
     analytic_bf01: float | None = None,
+    analytic_bf10: float | None = None,
     extra_diagnostics: dict[str, Any] | None = None,
 ) -> IndexReport:
     """Compute every index on a shared posterior/prior pair.
@@ -407,4 +408,5 @@ def run_all_indices(
         diagnostics=diagnostics,
         errors=errors,
         versions=package_versions(),
+        analytic_bf10=analytic_bf10,
     )

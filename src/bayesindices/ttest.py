@@ -8,18 +8,27 @@ delta to one-dimensional numerics:
 
     bf01 = central_t_pdf(t; df) / integral nct_pdf(t; df, delta * sqrt(n_eff)) prior(delta) d delta
     p(delta | t) proportional to nct_pdf(t; df, delta * sqrt(n_eff)) * prior(delta)
+
+Two-sided Bayes factors use the equivalent g-mixture form of the Cauchy
+prior (Rouder et al. 2009), which needs no inner noncentral-t quadrature.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import quadrature
-from .errors import DegenerateDataError, InvalidArgumentError, TruncatedSupportError
+from .errors import (
+    DegenerateDataError,
+    FloatRangeError,
+    InvalidArgumentError,
+    TruncatedSupportError,
+)
 from .posterior import DensityGrid, normalize_grid
 
 TWO_SIDED = "two-sided"
@@ -38,6 +47,16 @@ DEFAULT_GRID_SIZE = 4096
 DEFAULT_GRID_BOUND = 3.0
 # share of probability mass allowed beyond either grid edge
 TRUNCATION_LIMIT = 1e-3
+
+# two-sided Bayes factor: Gauss-Legendre nodes in x = log g, and the reach of
+# the bracket below the prior peak (the integrand falls like exp(-e^-x / 2)
+# there, below e^-70 at -5) and above it and the likelihood knee (it falls
+# like e^-x)
+_GM_NODES = 256
+_GM_BELOW = 5.0
+_GM_ABOVE = 45.0
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,14 +117,24 @@ class CauchyPrior:
         g = self.scale
         return 1.0 / (math.pi * g * (1.0 + (x / g) ** 2))
 
-    def on_grid(self, points: np.ndarray) -> DensityGrid:
-        """Tabulate the true prior density on the given points.
+    def on_grid(self, points: np.ndarray, alternative: str = TWO_SIDED) -> DensityGrid:
+        """Tabulate the prior density of the given alternative on the points.
 
-        The result is a windowed tabulation of an unbounded density and is
+        One-sided alternatives use the half-line prior: twice the Cauchy
+        density on the retained side of zero and zero on the other. The
+        result is a windowed tabulation of an unbounded density and is
         deliberately not renormalized: density ratios against it (e.g. at
-        the null value) must use the genuine Cauchy height.
+        the null value) must use the genuine prior height.
         """
-        return DensityGrid(points, self.density(points))
+        if alternative not in ALTERNATIVES:
+            raise InvalidArgumentError(f"alternative must be one of {ALTERNATIVES}")
+        points = np.asarray(points, dtype=float)
+        density = self.density(points)
+        if alternative == GREATER:
+            density = np.where(points >= 0.0, 2.0 * density, 0.0)
+        elif alternative == LESS:
+            density = np.where(points <= 0.0, 2.0 * density, 0.0)
+        return DensityGrid(points, density)
 
     @classmethod
     def from_preset(cls, name: str) -> "CauchyPrior":
@@ -134,8 +163,13 @@ class Hypotheses:
 
 
 class BayesFactor(NamedTuple):
+    """bf01 and bf10 with log bf01 and the relative error estimate of the
+    predictive density under the alternative."""
+
     bf01: float
     bf10: float
+    log_bf01: float
+    rel_error: float
 
 
 def cohen_d(data: TwoSampleData) -> float:
@@ -289,20 +323,63 @@ def noncentral_t_pdf(x, df: float, ncp, *, rel_tol: float = 1e-12):
     return float(out.reshape(())) if scalar else out
 
 
+def _g_mixture_log_bf10(stats: SufficientStats, prior: CauchyPrior) -> tuple[float, float]:
+    """Two-sided log bf10 and its relative error, from one pass.
+
+    The Cauchy prior is a normal scale mixture: delta ~ N(0, g * scale^2)
+    with g ~ InvGamma(1/2, 1/2) (Rouder et al. 2009). Given g, t is
+    sqrt(A) * Student-t with A = 1 + n_eff * g * scale^2, so
+
+        bf10 = integral t_df(t / sqrt(A)) / (sqrt(A) t_df(t)) InvGamma(g; 1/2, 1/2) dg,
+
+    which is the noncentral-t form integrated over delta in closed form.
+    In x = log g the prior factor exp(-x/2 - e^-x/2) makes the integrand
+    negligible below x = -5, and above both the prior peak (x = 0) and the
+    likelihood knee (A ~ max(t^2, 1)) the integrand falls like e^-x. A fixed
+    256-node Gauss-Legendre rule covers [-5, max(knee, 0) + 45]; the
+    128-node rule on the same bracket gives the error.
+    """
+    df = float(stats.df)
+    t2_df = stats.t * stats.t / df
+    log_ns2 = math.log(stats.n_eff) + 2.0 * math.log(prior.scale)
+    knee = math.log(max(stats.t * stats.t, 1.0)) - log_ns2
+    lo = -_GM_BELOW
+    hi = max(knee, 0.0) + _GM_ABOVE
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    log_m0_ratio = math.log1p(t2_df)
+
+    def log_integral(n: int) -> float:
+        u, w = quadrature.gauss_legendre_nodes(n)
+        x = mid + half * u
+        log_a = np.logaddexp(0.0, x + log_ns2)
+        log_f = (
+            -0.5 * (x + np.exp(-x) + log_a)
+            - 0.5 * (df + 1.0) * (np.log1p(t2_df * np.exp(-log_a)) - log_m0_ratio)
+        )
+        peak = float(log_f.max())
+        return peak + math.log(half * float(w @ np.exp(log_f - peak))) - _HALF_LOG_2PI
+
+    value = log_integral(_GM_NODES)
+    coarse = log_integral(_GM_NODES // 2)
+    # the rules' disagreement, floored at the rounding of a 256-term sum
+    return value, max(abs(math.expm1(coarse - value)), _GM_NODES * sys.float_info.epsilon)
+
+
 def _marginal_likelihood_h1(
     stats: SufficientStats,
     prior: CauchyPrior,
-    alternative: str = TWO_SIDED,
+    alternative: str,
     *,
     rel_tol: float = 1e-6,
     max_panels: int = 10_000,
 ) -> tuple[float, float]:
-    """Predictive density of the observed t under the alternative:
-    integral of nct_pdf(t; df, delta*sqrt(n_eff)) * prior(delta) d delta.
+    """Predictive density of the observed t under a one-sided alternative:
+    integral of nct_pdf(t; df, delta*sqrt(n_eff)) * half-line prior(delta)
+    d delta, with its absolute error estimate.
 
     The substitution delta = scale * tan(u) turns the Cauchy weight into a
-    constant, leaving a bounded integrand on (-pi/2, pi/2); one-sided
-    alternatives restrict the range and double the (renormalized) prior.
+    constant, leaving a bounded integrand on the half of (-pi/2, pi/2) the
+    alternative retains; the half-line prior doubles the Cauchy density.
     """
     root_n = math.sqrt(stats.n_eff)
     g = prior.scale
@@ -311,16 +388,11 @@ def _marginal_likelihood_h1(
         delta = g * np.tan(u)
         return noncentral_t_pdf(stats.t, stats.df, delta * root_n) / math.pi
 
-    if alternative == TWO_SIDED:
-        lo, hi, factor = -math.pi / 2, math.pi / 2, 1.0
-    elif alternative == GREATER:
-        lo, hi, factor = 0.0, math.pi / 2, 2.0
-    else:
-        lo, hi, factor = -math.pi / 2, 0.0, 2.0
+    lo, hi = (0.0, math.pi / 2) if alternative == GREATER else (-math.pi / 2, 0.0)
     value, err = quadrature.adaptive_gauss_kronrod(
         integrand, lo, hi, rel_tol=rel_tol, max_panels=max_panels
     )
-    return factor * value, factor * err
+    return 2.0 * value, 2.0 * err
 
 
 def jzs_bayes_factor(
@@ -329,21 +401,29 @@ def jzs_bayes_factor(
     alternative: str = TWO_SIDED,
 ) -> BayesFactor:
     """Bayes factor for the point null against the Cauchy-prior alternative,
-    as the ratio of predictive densities of the observed t statistic."""
+    as the ratio of predictive densities of the observed t statistic.
+
+    Two-sided tests integrate the g-mixture form in log space; one-sided
+    tests integrate the noncentral-t form over the half-line prior. Either
+    way one quadrature pass gives the value and its error estimate. Raises
+    FloatRangeError when bf01 or bf10 is not a normal double.
+    """
     if alternative not in ALTERNATIVES:
         raise InvalidArgumentError(f"alternative must be one of {ALTERNATIVES}")
-    m1, _ = _marginal_likelihood_h1(stats, prior, alternative)
-    m0 = float(central_t_pdf(stats.t, stats.df))
-    bf01 = m0 / m1
-    return BayesFactor(bf01=bf01, bf10=1.0 / bf01)
-
-
-def bf_quadrature_error(stats: SufficientStats, prior: CauchyPrior,
-                        alternative: str = TWO_SIDED) -> float:
-    """Error estimate of the Bayes-factor denominator quadrature, relative
-    to the denominator value (diagnostic)."""
-    m1, err = _marginal_likelihood_h1(stats, prior, alternative)
-    return err / m1
+    if alternative == TWO_SIDED:
+        log_bf10, rel_error = _g_mixture_log_bf10(stats, prior)
+        if not abs(log_bf10) < _LOG_DOUBLE_MAX:
+            raise FloatRangeError(
+                f"bf10 = exp({log_bf10:.6g}) is outside the double-precision range"
+            )
+        return BayesFactor(math.exp(-log_bf10), math.exp(log_bf10), -log_bf10, rel_error)
+    m1, err = map(float, _marginal_likelihood_h1(stats, prior, alternative))
+    bf01 = float(central_t_pdf(stats.t, stats.df)) / m1 if m1 > 0.0 else math.inf
+    if not 1.0 / sys.float_info.max < bf01 < sys.float_info.max:
+        raise FloatRangeError(
+            f"{alternative} bf01 = {bf01!r} is outside the double-precision range"
+        )
+    return BayesFactor(bf01, 1.0 / bf01, math.log(bf01), err / m1)
 
 
 def posterior_density_grid(

@@ -124,6 +124,27 @@ def test_analyze_text_format(sim_csv, capsys):
     assert "ROPE" in out
 
 
+def _csv_with_t(path, n, t, seed=0):
+    # two groups of n normal draws, group 1 shifted so the pooled t is t
+    rng = np.random.default_rng(seed)
+    g1, g2 = rng.standard_normal(n), rng.standard_normal(n)
+    g1 -= g1.mean() - g2.mean()
+    sp = np.sqrt((g1.var(ddof=1) + g2.var(ddof=1)) / 2.0)
+    g1 += t * sp * np.sqrt(2.0 / n)
+    rows = [f"a,{float(v)!r}" for v in g1] + [f"b,{float(v)!r}" for v in g2]
+    return write(path, "group,value\n" + "\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_analyze_bf_beyond_double_range_exits_3(tmp_path, fmt, capsys):
+    # log bf10 is about 1290: bf01 underflows and bf10 overflows a double
+    path = _csv_with_t(tmp_path / "d.csv", 2000, 60.0)
+    assert main(["analyze", path, "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert "numeric failure: FloatRangeError" in captured.err
+    assert captured.out == ""
+
+
 def test_analyze_flag_overrides_config_file(tmp_path, sim_csv, capsys):
     cfg = write(tmp_path / "c.json", json.dumps({"prior_scale": 0.5, "hpd_mass": 0.9}))
     assert main(["analyze", sim_csv, "--config", cfg, "--prior-scale", "1.4"]) == 0

@@ -152,3 +152,12 @@ def test_report_text_renders(reference):
     text = report.to_text()
     assert "Bayes factor" in text
     assert "ev_against" in text
+
+
+def test_report_text_uses_the_given_bf10(reference):
+    report = run_all_indices(
+        reference["posterior"], reference["prior_grid"], Hypotheses(0.0), Rope(-0.1, 0.1),
+        analytic_bf01=0.5, analytic_bf10=2.5,
+    )
+    assert "bf01 = 0.5000 (predictive ratio), bf10 = 2.5000" in report.to_text()
+    assert "analytic_bf10" not in report.to_json()

@@ -20,9 +20,11 @@ from bayesindices import (
 )
 from bayesindices.errors import (
     DegenerateDataError,
+    FloatRangeError,
     InvalidArgumentError,
     TruncatedSupportError,
 )
+from bayesindices.indices import savage_dickey_bf
 
 # independent quadrature oracle (scipy nct + scipy tan-substitution quad)
 BF01_T0_N50_G1 = 6.500318745241953
@@ -277,6 +279,75 @@ def test_bf_one_sided_matches_scipy_oracle():
     half_prior = lambda d: sps.nct.pdf(2.0, 98, d * 5.0) * 2.0 * sps.cauchy.pdf(d)
     m1, _ = integrate.quad(half_prior, 0, np.inf, epsabs=0, epsrel=1e-11, limit=500)
     assert mine == pytest.approx(sps.t.pdf(2.0, 98) / m1, rel=1e-8)
+
+
+def _oracle_two_sided_bf01(t, n1, n2, scale):
+    """bf01 from scipy.quad over x = log g of the Zellner-Siow g-mixture
+    (Rouder et al. 2009), split at the prior peak and the likelihood knee."""
+    from scipy import integrate
+    df, n_eff = n1 + n2 - 2, n1 * n2 / (n1 + n2)
+
+    def bf10_integrand(x):
+        a = 1.0 + n_eff * scale * scale * math.exp(x)
+        log_lik_ratio = -0.5 * math.log(a) - 0.5 * (df + 1) * (
+            math.log1p(t * t / (a * df)) - math.log1p(t * t / df))
+        return math.exp(-0.5 * x - 0.5 * math.exp(-x) + log_lik_ratio) / math.sqrt(2 * math.pi)
+
+    knee = math.log(max(t * t, 1.0) / (n_eff * scale * scale))
+    edges = sorted({-12.0, 0.0, min(max(knee, -12.0), 120.0), max(knee, 0.0) + 80.0})
+    total = sum(integrate.quad(bf10_integrand, a, b, epsabs=0, epsrel=1e-13, limit=500)[0]
+                for a, b in zip(edges[:-1], edges[1:]))
+    return 1.0 / total
+
+
+@pytest.mark.parametrize("n", [2, 5, 30, 400, 10_000, 100_000])
+def test_bf_two_sided_matches_g_mixture_oracle(n):
+    # covers prior scale x sqrt(n_eff) beyond 2000, where the nested
+    # noncentral-t quadrature used to miss the likelihood peak
+    for scale in (1e-3, 0.05, math.sqrt(2) / 2, 20.0, 181.0, 1e3):
+        for t in (0.0, 0.8, 2.5, 6.0, 10.0):
+            st = SufficientStats(t=t, df=2 * n - 2, n_eff=n / 2, n1=n, n2=n)
+            bf = jzs_bayes_factor(st, CauchyPrior(scale))
+            oracle = _oracle_two_sided_bf01(t, n, n, scale)
+            assert bf.bf01 == pytest.approx(oracle, rel=1e-8), (n, scale, t)
+            assert bf.log_bf01 == pytest.approx(math.log(oracle), abs=1e-8)
+            assert bf.rel_error < 1e-6
+
+
+def test_bf_two_sided_unbalanced_matches_oracle():
+    st = SufficientStats(t=2.2, df=35, n_eff=3 * 34 / 37, n1=3, n2=34)
+    oracle = _oracle_two_sided_bf01(2.2, 3, 34, 0.5)
+    assert jzs_bayes_factor(st, CauchyPrior(0.5)).bf01 == pytest.approx(oracle, rel=1e-8)
+
+
+def test_bf_outside_double_range_raises_named_error():
+    # n = 1e5 per group, t = 100: log bf10 is about 4873, so bf01 underflows
+    st = SufficientStats(t=100.0, df=199_998, n_eff=50_000.0, n1=100_000, n2=100_000)
+    with pytest.raises(FloatRangeError, match="bf10 = exp"):
+        jzs_bayes_factor(st, CauchyPrior.from_preset("medium"))
+
+
+def test_prior_on_grid_one_sided_truncation():
+    prior = CauchyPrior(1.0)
+    points = np.linspace(-2.0, 2.0, 65)
+    full = prior.density(points)
+    assert np.array_equal(prior.on_grid(points).densities, full)
+    greater = prior.on_grid(points, "greater").densities
+    less = prior.on_grid(points, "less").densities
+    assert np.array_equal(greater, np.where(points >= 0, 2 * full, 0.0))
+    assert np.array_equal(less, np.where(points <= 0, 2 * full, 0.0))
+    with pytest.raises(InvalidArgumentError):
+        prior.on_grid(points, "sideways")
+
+
+def test_one_sided_savage_dickey_matches_analytic_through_library():
+    # the library path: posterior and prior grid of the same alternative
+    st, prior = _stats(1.5), CauchyPrior(1.0)
+    posterior = posterior_density_grid(st, prior, alternative="greater")
+    sd = savage_dickey_bf(posterior, prior.on_grid(posterior.points, "greater"), 0.0)
+    analytic = jzs_bayes_factor(st, prior, alternative="greater").bf01
+    assert analytic == pytest.approx(1.2296, abs=1e-4)
+    assert sd == pytest.approx(analytic, rel=0.01)
 
 
 # ---------------------------------------------------------------- simulate
