@@ -58,7 +58,6 @@ from .indices import (
     ALL_SCALES,
     BF01_CUTPOINTS,
     DEFAULT_EFFECT_SIZE_ROPE,
-    DEFAULT_REGRESSION_ROPE,
     EvidenceScale,
     FbstResult,
     GOODMAN1999,
@@ -110,7 +109,7 @@ __all__ = [
     "simulate_two_sample", "sufficient_stats",
     # indices
     "ALL_SCALES", "BF01_CUTPOINTS", "DEFAULT_EFFECT_SIZE_ROPE",
-    "DEFAULT_REGRESSION_ROPE", "EvidenceScale", "FbstResult", "GOODMAN1999",
+    "EvidenceScale", "FbstResult", "GOODMAN1999",
     "HELD_OTT2016", "JEFFREYS1961", "LEE_WAGENMAKERS2013", "Rope",
     "RopeDecision", "categorize_bf", "fbst_evalue", "map_p_value",
     "posterior_median", "probability_of_direction", "rope_decision",

@@ -18,6 +18,8 @@ import sys
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .errors import (
     BayesIndicesError,
     InputError,
@@ -43,40 +45,134 @@ from .ttest import (
 _INPUT_ERRORS = (InputError, InvalidArgumentError, OSError, json.JSONDecodeError)
 
 
+# Plain files are parsed in blocks of about this many characters, each cut
+# at a line end. A block's token lists are the parse's peak memory (over 40 MB
+# for a whole 2e5-row file at once), so keep it at 64 KiB or below.
+_BLOCK_CHARS = 1 << 16
+# Deleting all but these five bytes from a plain block leaves ",\n" per line.
+# A quote, a carriage return or a NUL (which csv refuses before Python 3.11)
+# sends the file to the csv.reader path, and so does a row with too many or
+# too few commas, even when the rows around it make up the count.
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b',\n"\r\x00')))
+
+
 def read_two_group_csv(path: str | Path) -> TwoSampleData:
     """Parse a `group,value` CSV; group labels map to group1/group2 in
-    first-appearance order."""
+    first-appearance order.
+
+    Plain files (one comma per line, LF line ends, no quotes or padded
+    labels; empty lines are skipped) are parsed block by block in bulk.
+    Any other file, and every malformed one, is parsed by the row-by-row
+    csv.reader path, which words every error. Both give the same arrays,
+    since every value goes through ``float()``.
+    """
     path = Path(path)
+    data = _read_blocks(path)
+    return data if data is not None else _read_two_group_csv_exact(path)
+
+
+def _read_blocks(path: Path) -> TwoSampleData | None:
+    """The bulk parse; None for a file that is not plain or that the
+    csv.reader path would refuse."""
+    limit = csv.field_size_limit()
+    parts: dict[str, list[np.ndarray]] = {}
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = fh.readline()
+            if len(header) > limit or not _alternates(header):
+                return None
+            if [h.strip().lower() for h in header[:-1].split(",")] != ["group", "value"]:
+                return None
+            while block := fh.read(_BLOCK_CHARS):
+                if not block.endswith("\n"):
+                    block += fh.readline()
+                if not block.endswith("\n"):  # a last line with no line end
+                    block += "\n"
+                # csv.reader yields empty lines as empty rows, which are
+                # skipped; dropping them here keeps a file that ends in a
+                # blank line from being parsed twice
+                while "\n\n" in block:
+                    block = block.replace("\n\n", "\n")
+                block = block.lstrip("\n")
+                if not block:
+                    continue
+                if len(block) > limit or not _alternates(block):
+                    return None
+                tokens = block.replace("\n", ",").split(",")
+                labels, values = tokens[:-1:2], tokens[1::2]
+                present = list(dict.fromkeys(labels))
+                for label in present:
+                    if label not in parts:
+                        if not label or label != label.strip() or len(parts) == 2:
+                            return None
+                        parts[label] = []
+                try:
+                    parsed = np.fromiter(map(float, values), dtype=float, count=len(values))
+                except ValueError:
+                    return None
+                if len(present) == 1:
+                    parts[present[0]].append(parsed)
+                else:
+                    first, second = parts
+                    in_first = np.fromiter(map(first.__eq__, labels), dtype=bool,
+                                           count=len(labels))
+                    parts[first].append(parsed[in_first])
+                    parts[second].append(parsed[~in_first])
+    except UnicodeDecodeError:
+        return None
+    if len(parts) < 2:
+        return None
+    group1, group2 = (np.concatenate(arrays) for arrays in parts.values())
+    return TwoSampleData(group1=group1, group2=group2)
+
+
+def _alternates(lines: str) -> bool:
+    """Whether ``lines`` (which end with a line end) hold one comma per line
+    and none of the other characters csv treats specially."""
+    seps = lines.encode().translate(None, _NOT_SEPARATORS)
+    return seps == b",\n" * (len(seps) // 2)
+
+
+def _read_two_group_csv_exact(path: Path) -> TwoSampleData:
+    """The row-by-row csv.reader parse: the reference for the bulk path, and
+    the path for every file that path declines."""
     groups: dict[str, list[float]] = {}
     order: list[str] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["group", "value"]:
-            raise InputError(f"{path}: first line must be the header 'group,value'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise InputError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
-            label = row[0].strip()
-            if not label:
-                raise InputError(f"{path}: line {lineno}: empty group label")
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise InputError(
-                    f"{path}: line {lineno}: value {row[1]!r} is not a number"
-                ) from None
-            if label not in groups:
-                if len(order) >= 2:
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip().lower() for h in header] != ["group", "value"]:
+                raise InputError(f"{path}: first line must be the header 'group,value'")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 2:
+                    raise InputError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
+                label = row[0].strip()
+                if not label:
+                    raise InputError(f"{path}: line {lineno}: empty group label")
+                try:
+                    value = float(row[1])
+                except ValueError:
                     raise InputError(
-                        f"{path}: line {lineno}: third group {label!r} found; "
-                        f"expected exactly two groups ({order[0]!r}, {order[1]!r})"
-                    )
-                order.append(label)
-                groups[label] = []
-            groups[label].append(value)
+                        f"{path}: line {lineno}: value {row[1]!r} is not a number"
+                    ) from None
+                if label not in groups:
+                    if len(order) >= 2:
+                        raise InputError(
+                            f"{path}: line {lineno}: third group {label!r} found; "
+                            f"expected exactly two groups ({order[0]!r}, {order[1]!r})"
+                        )
+                    order.append(label)
+                    groups[label] = []
+                groups[label].append(value)
+        except csv.Error as exc:
+            raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise InputError(
+                f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+            ) from None
     if len(order) < 2:
         raise InputError(f"{path}: need exactly 2 groups, found {len(order)}")
     return TwoSampleData(group1=groups[order[0]], group2=groups[order[1]])
@@ -120,8 +216,7 @@ def _load_config(args: argparse.Namespace) -> AnalysisConfig:
     return AnalysisConfig.from_dict(merged)
 
 
-def _data_digest(data: TwoSampleData) -> dict[str, Any]:
-    stats = sufficient_stats(data)
+def _data_digest(data: TwoSampleData, stats: SufficientStats) -> dict[str, Any]:
     return {
         "n1": int(data.group1.size),
         "n2": int(data.group2.size),
@@ -164,7 +259,7 @@ def _analyze_report(data: TwoSampleData, config: AnalysisConfig) -> IndexReport:
         extra_diagnostics={"bf01_quadrature_rel_error": None if bf is None else bf.rel_error},
     )
     report.config = config.echo()
-    report.data = _data_digest(data)
+    report.data = _data_digest(data, stats)
     return report
 
 

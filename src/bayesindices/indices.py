@@ -54,8 +54,6 @@ class Rope:
 
 # half of a small effect, the conventional equivalence band for effect sizes
 DEFAULT_EFFECT_SIZE_ROPE = Rope(-0.1, 0.1)
-# conventional band for standardized regression coefficients
-DEFAULT_REGRESSION_ROPE = Rope(-0.05, 0.05)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bayesindices import cli
 from bayesindices.cli import main, read_two_group_csv
-from bayesindices.errors import InputError
+from bayesindices.errors import BayesIndicesError, InputError
 
 
 def write(path, text):
@@ -58,6 +62,146 @@ def test_read_csv_single_group(tmp_path):
     path = write(tmp_path / "d.csv", "group,value\nx,1\nx,2\nx,3\n")
     with pytest.raises(InputError, match="2 groups"):
         read_two_group_csv(path)
+
+
+# ---------------------------------------------------------------- ingest parity
+# The public reader parses plain files in bulk blocks and hands every other
+# file to the csv.reader path; on every input both must give bit-identical
+# arrays or the same error.
+
+def _outcome(reader, path):
+    try:
+        data = reader(path)
+    except BayesIndicesError as exc:
+        return type(exc).__name__, str(exc)
+    return data.group1.tobytes(), data.group2.tobytes()
+
+
+def _bulk_declines(path):
+    try:
+        return cli._read_blocks(path) is None
+    except BayesIndicesError:
+        return False  # parsed in bulk, then refused by TwoSampleData
+
+
+_ROWS = "".join(f"{'xy'[i % 2]},{i * 0.37 - 5!r}\n" for i in range(40))
+# 6554 rows of 10 characters just overfill a 64 KiB block
+_BLOCK = "".join(f"x,{i:07d}\n" for i in range(6554))
+
+# name: (file bytes, whether the bulk path declines it)
+INGEST_CORPUS = {
+    "first_appearance_order": (b"group,value\nb,1.0\nb,2.0\na,9.0\nb,3.5\na,8.0\n", False),
+    "crlf_and_blank_lines": (b"group,value\r\nx,1.0\r\n\r\nx,2.0\r\ny,3.0\r\ny,4.0\r\n", True),
+    "bad_header": (b"grp,val\nx,1\n", True),
+    "bad_value": (b"group,value\nx,1.0\nx,oops\ny,2.0\n", True),
+    "third_group": (b"group,value\nx,1\ny,2\nz,3\n", True),
+    "single_group": (b"group,value\nx,1\nx,2\nx,3\n", True),
+    "constant_group": (b"group,value\nx,1\nx,1\nx,1\ny,1\ny,2\ny,3\n", False),
+    "empty_file": (b"", True),
+    "header_only": (b"group,value\n", True),
+    "header_case_and_spaces": (b" Group , VALUE \n" + _ROWS.encode(), False),
+    "bom": (b"\xef\xbb\xbfgroup,value\n" + _ROWS.encode(), False),
+    "crlf": (("group,value\n" + _ROWS).replace("\n", "\r\n").encode(), True),
+    "lone_cr": (("group,value\n" + _ROWS[:36] + "\r" + _ROWS[37:]).encode(), True),
+    "trailing_blank_line": (("group,value\n" + _ROWS + "\n").encode(), False),
+    "blank_lines": (("group,value\n\n" + _ROWS.replace("\n", "\n\n\n", 5)).encode(), False),
+    "whitespace_line": (("group,value\n" + _ROWS + "  \n").encode(), True),
+    "no_final_line_end": (("group,value\n" + _ROWS[:-1]).encode(), False),
+    "quoted_value": (('group,value\nx,"1.5"\n' + _ROWS).encode(), True),
+    "quoted_label": (b'group,value\n"x",1\n"x",2\nx,3\nx,4\n', True),
+    "underscore_value": (("group,value\nx,1_000\n" + _ROWS).encode(), False),
+    "padded_value": (("group,value\nx, 1.5\n" + _ROWS).encode(), False),
+    "nan": (("group,value\nx,nan\n" + _ROWS).encode(), False),
+    "inf": (("group,value\ny,inf\n" + _ROWS).encode(), False),
+    "overflowing_value": (("group,value\nx,1e400\n" + _ROWS).encode(), False),
+    "ragged_rows_that_cancel": (b"group,value\nx,1,x\n1\ny,2\ny,3\nx,5\n", True),
+    "padded_label": (b"group,value\nx ,1\nx ,2\nx,3\nx,4\n", True),
+    "empty_label": (b"group,value\n,1\n,2\nx,3\nx,4\n", True),
+    "nul_in_label": (b"group,value\nx\x00,1\nx\x00,2\ny,3\ny,4\n", True),
+    "third_group_after_first_block": (
+        ("group,value\n" + _BLOCK + "y,1\n" + _BLOCK + "z,2\n").encode(), True),
+    "second_group_in_block_3": (
+        ("group,value\n" + _BLOCK * 2 + "x,0.5\ny,1\ny,2\nx,3\n").encode(), False),
+    "not_utf8": (("group,value\n" + _ROWS).encode() + b"caf\xe9,1\n", True),
+    "overlong_field": (("group,value\n" + _ROWS + "x," + "1" * 131073 + "\n").encode(), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INGEST_CORPUS))
+def test_ingest_corpus_parity(tmp_path, monkeypatch, capsys, name):
+    content, declined = INGEST_CORPUS[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(content)
+    assert _bulk_declines(path) is declined
+    assert _outcome(read_two_group_csv, path) == _outcome(cli._read_two_group_csv_exact, path)
+    runs = []
+    for reader in (read_two_group_csv, cli._read_two_group_csv_exact):
+        monkeypatch.setattr(cli, "read_two_group_csv", reader)
+        runs.append((main(["analyze", str(path), "--format", "text"]), capsys.readouterr()))
+    assert runs[0] == runs[1]
+
+
+def test_ragged_rows_that_cancel_exit_2(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_bytes(INGEST_CORPUS["ragged_rows_that_cancel"][0])
+    assert main(["analyze", str(path)]) == 2
+    assert "line 2: expected 2 columns, got 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, message", [
+    ("not_utf8", "not UTF-8 text (byte 0xe9: invalid continuation byte)"),
+    ("overlong_field", "line 42: field larger than field limit (131072)"),
+])
+def test_unreadable_file_exits_2(tmp_path, capsys, name, message):
+    path = tmp_path / "d.csv"
+    path.write_bytes(INGEST_CORPUS[name][0])
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: {message}\n"
+    assert captured.out == ""
+
+
+_LABEL = st.text(st.characters(exclude_categories=("Cs", "Cc", "Zs", "Zl", "Zp"),
+                               exclude_characters=',"'), min_size=1, max_size=6)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(labels=st.lists(_LABEL, min_size=2, max_size=2, unique=True),
+       values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4,
+                       max_size=300),
+       split=st.integers(2, 1000), interleave=st.booleans(),
+       block_chars=st.integers(1, 512), data=st.data())
+def test_well_formed_files_parse_identically_in_bulk(
+        tmp_path_factory, labels, values, split, interleave, block_chars, data):
+    n1 = min(split, len(values) - 2)
+    rows = [labels[0]] * n1 + [labels[1]] * (len(values) - n1)
+    if interleave:
+        rows = [rows[i] for i in data.draw(st.permutations(range(len(rows))))]
+    path = tmp_path_factory.mktemp("wellformed") / "d.csv"
+    path.write_text("group,value\n" + "".join(f"{a},{v!r}\n" for a, v in zip(rows, values)),
+                    encoding="utf-8")
+    with mock.patch.object(cli, "_BLOCK_CHARS", block_chars):
+        assert not _bulk_declines(path)
+        assert _outcome(read_two_group_csv, path) == _outcome(cli._read_two_group_csv_exact, path)
+
+
+# mostly well-formed rows, so that one irregular piece is often the only
+# thing that could set the two paths apart; "x,1,y\n2\n" holds as many
+# commas as line ends
+_PIECES = (["x,1\n", "y,2.5\n", "x,-3e1\n", "y,1_0\n"] * 12
+           + ["x,1,y\n2\n", "x,1,y\n", "2\n", "z,1\n", "x", " ", ",", "\n", "\r", '"',
+              "nan", "\x00", "\xe9"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pieces=st.lists(st.sampled_from(_PIECES), max_size=40),
+       block_chars=st.integers(1, 64))
+def test_arbitrary_files_give_the_same_arrays_or_error(tmp_path_factory, pieces, block_chars):
+    path = tmp_path_factory.mktemp("arbitrary") / "d.csv"
+    path.write_text("group,value\n" + "".join(pieces), encoding="utf-8")
+    with mock.patch.object(cli, "_BLOCK_CHARS", block_chars):
+        assert _outcome(read_two_group_csv, path) == _outcome(cli._read_two_group_csv_exact, path)
 
 
 # ---------------------------------------------------------------- exit codes
