@@ -17,6 +17,7 @@ from .posterior import (
     FLAT,
     CredibleInterval,
     DensityGrid,
+    MapEstimate,
     ReferenceFunction,
     SampleSet,
     _clipped_sublevel_mass,
@@ -211,10 +212,16 @@ def rope_mass(
     return mass_in_interval(posterior, lo, hi) / denom
 
 
-def map_p_value(posterior: DensityGrid, null_value: float) -> float:
-    """Posterior density at the null over the posterior density at the mode."""
+def map_p_value(
+    posterior: DensityGrid, null_value: float, peak: MapEstimate | None = None
+) -> float:
+    """Posterior density at the null over the posterior density at the mode.
+
+    ``peak`` is the posterior's `map_estimate`, when the caller already has it.
+    """
     _require_in_support(posterior, null_value, "null value")
-    peak = map_estimate(posterior)
+    if peak is None:
+        peak = map_estimate(posterior)
     if peak.density <= 0:
         raise InvalidArgumentError("posterior has zero peak density")
     ratio = float(posterior.density_at(null_value)) / peak.density
@@ -232,11 +239,15 @@ def posterior_median(posterior: SampleSet | DensityGrid) -> float:
     return float(grid_quantile(posterior, 0.5))
 
 
-def probability_of_direction(posterior: SampleSet | DensityGrid) -> float:
+def probability_of_direction(
+    posterior: SampleSet | DensityGrid, median: float | None = None
+) -> float:
     """Posterior mass sharing the sign of the median (median exactly zero
     counts as positive). Clipped onto the feasible range [0.5, 1], which
-    integration noise can overshoot by ~1e-16."""
-    median = posterior_median(posterior)
+    integration noise can overshoot by ~1e-16. ``median`` is the
+    posterior's `posterior_median`, when the caller already has it."""
+    if median is None:
+        median = posterior_median(posterior)
     if isinstance(posterior, SampleSet):
         values = posterior.values
         mass = float(np.mean(values > 0)) if median >= 0 else float(np.mean(values < 0))

@@ -9,6 +9,7 @@ threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -278,29 +279,106 @@ def _superlevel_segments(points: np.ndarray, dens: np.ndarray, threshold: float)
     """Connected components of {x : density(x) >= threshold}, with endpoints
     interpolated between bracketing grid points."""
     above = dens >= threshold
+    edges = np.diff(above.astype(np.int8))
+    first = np.flatnonzero(edges == 1) + 1
+    last = np.flatnonzero(edges == -1)
+    if above[0]:
+        first = np.r_[0, first]
+    if above[-1]:
+        last = np.r_[last, points.size - 1]
     segments = []
-    n = points.size
-    i = 0
-    while i < n:
-        if not above[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and above[j + 1]:
-            j += 1
+    for i, j in zip(first.tolist(), last.tolist()):
         if i > 0:
             frac = (threshold - dens[i - 1]) / (dens[i] - dens[i - 1])
             lo = points[i - 1] + frac * (points[i] - points[i - 1])
         else:
             lo = points[0]
-        if j < n - 1:
+        if j < points.size - 1:
             frac = (threshold - dens[j]) / (dens[j + 1] - dens[j])
             hi = points[j] + frac * (points[j + 1] - points[j])
         else:
             hi = points[-1]
         segments.append((float(lo), float(hi)))
-        i = j + 1
     return segments
+
+
+def _hpd_threshold(points: np.ndarray, dens: np.ndarray, mass: float) -> float:
+    """The highest density level whose superlevel set holds ``mass``, exact
+    on the piecewise-linear density.
+
+    Above a level tau, a segment with both node densities above tau holds
+    its whole mass m; one that tau crosses, with node densities lo < hi,
+    holds (hi + tau)(hi - tau) h / (2 (hi - lo)). Between two consecutive
+    node densities the enclosed mass is therefore M + A - B tau^2 with
+    fixed M, A and B. Passing a node's density moves each of its two
+    segments one step (full to crossed at its lower node, crossed to empty
+    at its upper one), so one sort of the node densities and cumulative
+    sums of those steps give the enclosed mass at every node density. That
+    locates the bracketing pair of densities; the enclosed mass is then
+    re-evaluated at the pair without the A - B tau^2 cancellation (and the
+    pair searched for outwards if that misplaced it), and the quadratic is
+    solved inside it.
+    """
+    h = np.diff(points)
+    d0, d1 = dens[:-1], dens[1:]
+    seg_mass = 0.5 * (d0 + d1) * h
+    lo, hi = np.minimum(d0, d1), np.maximum(d0, d1)
+    n = dens.size
+    seg = np.arange(n - 1)
+    lower = np.where(d0 <= d1, seg, seg + 1)
+    upper = np.where(d0 <= d1, seg + 1, seg)
+    # nearly flat segments step straight from full to empty in the estimate
+    sloped = hi - lo > 1e-6 * hi.max()
+    beta = np.where(sloped, 0.5 * h / np.where(sloped, hi - lo, 1.0), 0.0)
+    alpha = beta * hi * hi
+    order = np.argsort(dens, kind="stable")
+    level = dens[order]
+    step_m = np.bincount(lower, seg_mass, n)[order]
+    step_a = (np.bincount(lower, alpha, n) - np.bincount(upper, alpha, n))[order]
+    step_b = (np.bincount(lower, beta, n) - np.bincount(upper, beta, n))[order]
+    estimate = (
+        seg_mass.sum() - np.cumsum(step_m) + np.cumsum(step_a) - np.cumsum(step_b) * level * level
+    )
+    # the last node of each run of equal densities carries the state there
+    distinct = np.r_[level[1:] > level[:-1], True]
+    levels, estimate = level[distinct], estimate[distinct]
+
+    def enclosed(v: float) -> float:
+        crossed = (lo <= v) & (hi > v)
+        share = (hi[crossed] - v) / (hi[crossed] - lo[crossed])
+        return float(seg_mass[lo > v].sum() + (0.5 * h[crossed] * (hi[crossed] + v) * share).sum())
+
+    def holds(j: int) -> bool:
+        return enclosed(levels[j]) >= mass
+
+    # from the estimated pair, step outwards in doubling strides until the
+    # pair (j, k) brackets the last level that holds the mass, then
+    # bisect; the top level holds none, and "below every level" holds all
+    j = int(np.searchsorted(-estimate, -mass, side="right")) - 1
+    k, stride = j + 1, 1
+    while j >= 0 and not holds(j):
+        j, k, stride = j - stride, j, 2 * stride
+    while k < levels.size - 1 and holds(k):
+        j, k, stride = k, min(k + stride, levels.size - 1), 2 * stride
+    j = max(j, -1)
+    while k - j > 1:
+        mid = (j + k) // 2
+        j, k = (mid, k) if holds(mid) else (j, mid)
+    if j < 0:
+        return 0.0
+    floor_level = float(levels[j])
+    ceiling = float(levels[k])
+    crossed = (lo <= floor_level) & (hi > floor_level)
+    with np.errstate(divide="ignore", over="ignore"):
+        quad_b = float((0.5 * h[crossed] / (hi[crossed] - lo[crossed])).sum())
+    # enclosed(floor + y) = enclosed(floor) - B (2 floor y + y^2) = mass
+    spare = enclosed(floor_level) - mass
+    if spare <= 0.0:
+        return floor_level
+    if quad_b == 0.0:
+        return ceiling
+    y = spare / (quad_b * (floor_level + math.sqrt(floor_level * floor_level + spare / quad_b)))
+    return min(floor_level + y, ceiling)
 
 
 def _hpd_from_samples(samples: SampleSet, mass: float) -> CredibleInterval:
@@ -316,21 +394,7 @@ def _hpd_from_samples(samples: SampleSet, mass: float) -> CredibleInterval:
 
 def _hpd_from_grid(grid: DensityGrid, mass: float) -> CredibleInterval:
     points, dens = grid.points, grid.densities
-    total = grid.total_mass()
-
-    def enclosed(threshold: float) -> float:
-        return total - _sublevel_mass(points, dens, dens, threshold)
-
-    lo_thr, hi_thr = 0.0, float(dens.max())
-    for _ in range(200):
-        mid = 0.5 * (lo_thr + hi_thr)
-        if enclosed(mid) >= mass:
-            lo_thr = mid
-        else:
-            hi_thr = mid
-        if hi_thr - lo_thr <= 1e-15 * max(1.0, dens.max()):
-            break
-    threshold = lo_thr
+    threshold = _hpd_threshold(points, dens, mass)
     segments = _superlevel_segments(points, dens, threshold)
     if len(segments) != 1:
         raise MultimodalHpdError(
@@ -346,9 +410,9 @@ def hpd_interval(posterior: SampleSet | DensityGrid, mass: float) -> CredibleInt
     """Shortest interval holding ``mass`` posterior probability.
 
     Sample sets use the shortest contiguous window of ceil(mass * n) sorted
-    draws; grids lower a horizontal density threshold until the enclosed
-    mass reaches ``mass`` (raising MultimodalHpdError when the superlevel
-    set is disconnected).
+    draws; grids take the density threshold whose superlevel set holds
+    exactly ``mass`` of the piecewise-linear density (raising
+    MultimodalHpdError when that set is disconnected).
     """
     if not 0.0 < mass < 1.0:
         raise InvalidArgumentError("mass must lie strictly in (0, 1)")

@@ -116,6 +116,7 @@ def reference_analysis(grid_size: int = 4096) -> dict[str, Any]:
     decision = rope_decision(posterior, REFERENCE_ROPE, REFERENCE_HPD_MASS)
     flat = fbst_evalue(posterior, ReferenceFunction.flat(), 0.0)
     prior_ref = fbst_evalue(posterior, ReferenceFunction.from_prior(prior_grid), 0.0)
+    peak = map_estimate(posterior)
     return {
         "t_star": t_star,
         "bf01_analytic": jzs_bayes_factor(stats, prior).bf01,
@@ -124,8 +125,8 @@ def reference_analysis(grid_size: int = 4096) -> dict[str, Any]:
         "prior_grid": prior_grid,
         "density_at_null": float(posterior.density_at(0.0)),
         "savage_dickey_bf01": savage_dickey_bf(posterior, prior_grid, 0.0),
-        "map_location": map_estimate(posterior).location,
-        "p_map": map_p_value(posterior, 0.0),
+        "map_location": peak.location,
+        "p_map": map_p_value(posterior, 0.0, peak),
         "pd": probability_of_direction(posterior),
         "ev_against_flat": flat.ev_against,
         "ev_against_prior": prior_ref.ev_against,

@@ -342,12 +342,12 @@ def run_all_indices(
     peak = map_estimate(posterior)
     indices["map_location"] = peak.location
     indices["map_density"] = peak.density
-    p_map = attempt("p_map", lambda: map_p_value(posterior, null), "p_map")
+    p_map = attempt("p_map", lambda: map_p_value(posterior, null, peak), "p_map")
     if p_map is not None:
         indices["p_map"] = p_map
 
-    indices["pd"] = probability_of_direction(posterior)
     median = posterior_median(posterior)
+    indices["pd"] = probability_of_direction(posterior, median)
     indices["median"] = median
     indices["mean"] = grid_mean(posterior)
     indices["density_at_null"] = (

@@ -57,6 +57,17 @@ _GM_BELOW = 5.0
 _GM_ABOVE = 45.0
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+# noncentral t: a point whose peak log density lies below this is exactly 0
+_LOG_DEAD = -800.0
+# shared-x kernel (`_shared_x_kernel`): trapezoid spacing in widths of the
+# narrowest integrand, the e-folds each window reaches beyond a peak, the
+# node caps per window and per call, and matrix elements per block
+_KERNEL_STEP = 0.3
+_KERNEL_REFINE = 2
+_KERNEL_DROP = 40.0
+_KERNEL_MAX_NODES = 1024
+_LATTICE_MAX_NODES = 1 << 16
+_KERNEL_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +84,13 @@ class TwoSampleData:
                 raise InvalidArgumentError(f"{name} needs at least 2 observations")
             if not np.all(np.isfinite(arr)):
                 raise InvalidArgumentError(f"{name} contains non-finite values")
-            if np.var(arr, ddof=1) <= 0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                var = np.var(arr, ddof=1)
+            if not np.isfinite(var):
+                raise InvalidArgumentError(
+                    f"{name} has a variance beyond the double-precision range"
+                )
+            if var <= 0:
                 raise DegenerateDataError(f"{name} has zero variance")
             arr = arr.copy()
             arr.flags.writeable = False
@@ -218,16 +235,54 @@ def central_t_pdf(x, df: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _log_nct_scale(df: float) -> float:
+    """log C(df) - df/2, where C(df) = df^(df/2) / (sqrt(2 pi) 2^(df/2-1) Gamma(df/2))
+    is the constant of the scale mixture below and e^(-df/2) its kernel's peak.
+
+    Both logs grow like df; their difference comes from Stirling's series in
+    closed form, so no O(df) terms cancel in floating point.
+    """
+    z = 0.5 * df
+    if z < 10.0:
+        stirling_err = math.lgamma(z) - ((z - 0.5) * math.log(z) - z + _HALF_LOG_2PI)
+    else:
+        r = 1.0 / (z * z)
+        stirling_err = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / z
+    return 0.5 * math.log(2.0 * df) - 2.0 * _HALF_LOG_2PI - stirling_err
+
+
+def _square_minus(v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """v*v - s without the rounding of v*v (Dekker's exact product)."""
+    split = 134217729.0 * v
+    hi = split - (split - v)
+    lo = v - hi
+    sq = v * v
+    return (sq - s) + ((hi * hi - sq) + 2.0 * hi * lo + lo * lo)
+
+
+def _kernel_gap(log_w: np.ndarray) -> np.ndarray:
+    """(w^2 - 1)/2 - log w at w = e^log_w: how far the kernel w^df e^(-df w^2/2)
+    lies below its peak at w = 1, in units of df."""
+    return 0.5 * np.expm1(2.0 * log_w) - log_w
+
+
+def _centered_log_peak(x, ncp: np.ndarray, log_w: np.ndarray, w: np.ndarray, df: float):
+    """log of w^df exp(-(df w^2 + (ncp - x w)^2)/2) + df/2 at w = e^log_w."""
+    return -df * _kernel_gap(log_w) - 0.5 * (ncp - x * w) ** 2
+
+
 def noncentral_t_pdf(x, df: float, ncp, *, rel_tol: float = 1e-12):
     """Noncentral Student-t density.
 
     Evaluates the scale-mixture representation
 
-        pdf(x) = C(df) * integral_0^inf w^df exp(-((x^2+df) w^2 - 2 ncp x w + ncp^2) / 2) dw
+        pdf(x) = C(df) * integral_0^inf w^df exp(-((x^2+df) w^2 - 2 ncp x w + ncp^2) / 2) dw.
 
-    by node-doubling Gauss-Legendre quadrature after substituting w = v^2
-    (smooth at the origin) and bracketing the integrand's single peak in
-    log space. ``x`` and ``ncp`` broadcast; ``df`` is a positive scalar.
+    ``x`` and ``ncp`` broadcast; ``df`` is a positive scalar. A scalar ``x``
+    with an array of ``ncp`` (a posterior grid, a Bayes-factor panel) is
+    evaluated on one shared node set (`_shared_x_kernel`); every point it
+    does not certify, and every other shape, takes the per-point path
+    (`_per_point_nct`).
     """
     if not df > 0:
         raise InvalidArgumentError("df must be positive")
@@ -235,12 +290,25 @@ def noncentral_t_pdf(x, df: float, ncp, *, rel_tol: float = 1e-12):
     ncp_arr = np.asarray(ncp, dtype=float)
     if not (np.all(np.isfinite(x_arr)) and np.all(np.isfinite(ncp_arr))):
         raise InvalidArgumentError("x and ncp must be finite")
+    if x_arr.ndim == 0 and ncp_arr.ndim > 0:
+        nf = ncp_arr.reshape(-1)
+        out, done = _shared_x_kernel(float(x_arr), nf, float(df), rel_tol)
+        rest = np.flatnonzero(~done)
+        if rest.size:
+            out[rest] = _per_point_nct(np.full(rest.size, float(x_arr)), nf[rest], df, rel_tol)
+        return out.reshape(ncp_arr.shape)
     scalar = x_arr.ndim == 0 and ncp_arr.ndim == 0
     xb, nb = np.broadcast_arrays(np.atleast_1d(x_arr), np.atleast_1d(ncp_arr))
-    shape = xb.shape
-    xf = xb.reshape(-1).astype(float)
-    nf = nb.reshape(-1).astype(float)
+    out = _per_point_nct(xb.reshape(-1), nb.reshape(-1), df, rel_tol).reshape(xb.shape)
+    return float(out.reshape(())) if scalar else out
 
+
+def _per_point_nct(xf: np.ndarray, nf: np.ndarray, df: float, rel_tol: float) -> np.ndarray:
+    """The density point by point: node-doubling Gauss-Legendre quadrature
+    after substituting w = v^2 (smooth at the origin), on a bracket around
+    each integrand's single peak found in log space."""
+    xf = xf.astype(float)
+    nf = nf.astype(float)
     a = xf * xf + df
     b = nf * xf
     c = nf * nf
@@ -253,9 +321,16 @@ def noncentral_t_pdf(x, df: float, ncp, *, rel_tol: float = 1e-12):
     diff = np.where(pos, 2.0 * a * p / np.where(pos, root + b, 1.0), root - b)
     s = np.where(pos, (b + root) / (2.0 * a), p / diff)
     vstar = np.sqrt(s)
-    # g(v*), using a s^2 - 2 b s + c = (root-b)^2/(4a^2)*a + c*df/a, both
-    # terms moderate even when b and c are astronomically large
-    gstar = p * np.log(vstar) - 0.5 * (diff * diff / (4.0 * a) + c * df / a)
+    # g(v*) + df/2, so that it and log C(df) - df/2 stay O(1) at large df;
+    # the last term is p ln(v*/sqrt(s)), the rounding of v* scaled by p
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rem = _square_minus(vstar, s)
+        log_s = np.log(s)
+        gstar = (
+            0.5 * log_s
+            + _centered_log_peak(xf, nf, log_s, s, df)
+            + 0.5 * p * np.log1p(rem / s)
+        )
     sigma = 1.0 / np.sqrt(p / s + 4.0 * a * s)
 
     def centered(v: np.ndarray, idx) -> np.ndarray:
@@ -286,41 +361,176 @@ def noncentral_t_pdf(x, df: float, ncp, *, rel_tol: float = 1e-12):
             k[grow] *= 1.4
         lo = np.maximum(vstar - k * sigma, 0.0)
 
-    log_const = (
-        0.5 * df * math.log(df)
-        - 0.5 * math.log(2.0 * math.pi)
-        - (0.5 * df - 1.0) * math.log(2.0)
-        - math.lgamma(0.5 * df)
-    )
+    log_scale = _log_nct_scale(df)
     # elements whose peak value already underflows double precision are
     # exactly zero; skipping them also avoids brackets narrower than the
     # float spacing around v* at extreme noncentralities
-    alive = np.isfinite(gstar) & (gstar + log_const >= -800.0)
+    alive = np.isfinite(gstar) & (gstar + log_scale >= _LOG_DEAD)
     integral = np.zeros_like(gstar)
     if alive.any():
         alive_idx = np.flatnonzero(alive)
+        # the nodes are offsets d = v - v*, so that neither p ln(v/v*) nor
+        # u = v^2 - s = d (2 v* + d) + (v*^2 - s) is formed from rounded
+        # absolute positions; both errors would scale with p
 
-        def log_f(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        def log_f(d: np.ndarray, idx: np.ndarray) -> np.ndarray:
             gi = alive_idx[idx]
-            u = v * v - s[gi, None]
-            return (
-                p * np.log(v / vstar[gi, None])
-                - 0.5 * u * (a[gi, None] * u + diff[gi, None])
-            )
+            v0 = vstar[gi, None]
+            u = d * (2.0 * v0 + d) + rem[gi, None]
+            return p * np.log1p(d / v0) - 0.5 * u * (a[gi, None] * u + diff[gi, None])
 
-        # rounding noise floor of the exponent near the peak: the error in
-        # u = v^2 - s is ~eps*s, amplified by |a u + diff| ~ 2 a s^1.5 sigma;
-        # at extreme |x|, |ncp| (~1e7) this dominates any fixed tolerance
+        # convergence floor from the rounding of the exponent near the peak,
+        # where |a u + diff| ~ 2 a s^1.5 sigma scales the error of u; at
+        # extreme |x|, |ncp| (~1e7) it dominates any fixed tolerance
         eps = np.finfo(float).eps
         noise = 16.0 * eps * (2.0 * a * s * vstar * sigma + p)
         tol = np.maximum(rel_tol, noise[alive])
         integral[alive] = quadrature.batched_log_integral(
-            log_f, lo[alive], hi[alive], rel_tol=tol
+            log_f, lo[alive] - vstar[alive], hi[alive] - vstar[alive], rel_tol=tol
         )
     with np.errstate(divide="ignore"):
-        out = 2.0 * np.exp(log_const + gstar + np.log(np.maximum(integral, 0.0)))
-    out = np.where(integral > 0.0, out, 0.0).reshape(shape)
-    return float(out.reshape(())) if scalar else out
+        out = 2.0 * np.exp(log_scale + gstar + np.log(np.maximum(integral, 0.0)))
+    return np.where(integral > 0.0, out, 0.0)
+
+
+def _shared_x_kernel(
+    x: float, ncp: np.ndarray, df: float, rel_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The density at one ``x`` for many noncentralities, on one node set.
+
+    In s = log w the mixture integrand is, up to the factor C(df) e^(-df/2),
+
+        exp(s - df * gap(s)) * exp(-(ncp - x e^s)^2 / 2),   gap(s) = (e^2s - 1)/2 - s,
+
+    and its first factor, the kernel, is the same for every ncp. The nodes
+    are one trapezoid lattice in s, its kernel values computed once. Points
+    are grouped by the location of their integrand's peak; each group
+    integrates on a window of the lattice wide enough for every member, at
+    the largest power-of-two stride that keeps 1/_KERNEL_STEP nodes per
+    width of its narrowest member. So every point costs one exponential
+    per node and a matrix-vector product, with no per-node log.
+
+    A point is certified when the half rule (every other node, no extra
+    exponential) agrees with the full rule to ``rel_tol``, and when the
+    integrand's mass beyond both window ends, bounded from its value and
+    slope there, is below ``rel_tol`` of the integral. Returns the values
+    and a mask of the points that are done: certified, or zero because
+    their peak underflows. The rest need the per-point path.
+    """
+    out = np.zeros(ncp.size)
+    done = np.zeros(ncp.size, dtype=bool)
+    a = x * x + df
+    q = df + 1.0
+    b = x * ncp
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # peak: a w^2 - b w - q = 0, solved without cancellation
+        root = np.sqrt(b * b + 4.0 * a * q)
+        w_peak = np.where(b > 0.0, (b + root) / (2.0 * a), 2.0 * q / (root - b))
+        s_peak = np.log(w_peak)
+        g_peak = s_peak + _centered_log_peak(x, ncp, s_peak, w_peak, df)
+        curv = a * w_peak * w_peak
+        width = 1.0 / np.sqrt(curv + q)
+    log_scale = _log_nct_scale(df)
+    done[g_peak + log_scale < _LOG_DEAD] = True
+    live = np.flatnonzero(np.isfinite(g_peak) & np.isfinite(curv) & ~done)
+    if live.size == 0:
+        return out, done
+    s_peak, g_peak, curv, width = s_peak[live], g_peak[live], curv[live], width[live]
+    # reach on each side where the integrand has fallen by e^-_KERNEL_DROP:
+    # with A = a w*^2, the drop at distance u is q (e^u - 1 - u) + A/2 (e^u - 1)^2
+    # to the right, at least the Gaussian (A + q) u^2 / 2, and
+    # q (u - 1 + e^-u) + A/2 (1 - e^-u)^2 to the left, solved by Newton steps
+    right = width * math.sqrt(2.0 * _KERNEL_DROP)
+    left = right.copy()
+    for _ in range(3):
+        e = np.exp(-left)
+        one_e = -np.expm1(-left)
+        drop = q * (left - one_e) + 0.5 * curv * one_e * one_e
+        slope = one_e * (q + curv * e)
+        left = np.maximum(left, left + (_KERNEL_DROP - drop) / slope)
+    lo = s_peak - left
+    hi = s_peak + right
+    # groups of similar peak location, each a quarter of a typical window wide
+    order = np.argsort(s_peak, kind="stable")
+    span = 0.25 * float(np.median(left + right))
+    group = np.floor((s_peak[order] - s_peak[order[0]]) / span).astype(np.int64)
+    starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    bounds = np.r_[starts, order.size]
+    # one lattice: the starting spacing of the narrowest point, halved once
+    # for each refinement the nested rules may need; each group starts at
+    # the largest power-of-two stride its own narrowest point allows
+    fine = 1 << _KERNEL_REFINE
+    step = _KERNEL_STEP * float(width.min()) / fine
+    origin = float(lo.min())
+    if not (float(hi.max()) - origin) / step < _LATTICE_MAX_NODES:
+        return out, done
+    g_width = np.minimum.reduceat(width[order], starts)
+    stride = fine * 2 ** np.floor(np.log2(g_width / float(width.min()))).astype(np.int64)
+    j0 = np.floor((np.minimum.reduceat(lo[order], starts) - origin) / step).astype(np.int64)
+    j0 -= j0 % stride
+    j_hi = np.ceil((np.maximum.reduceat(hi[order], starts) - origin) / step).astype(np.int64)
+    n_nodes = -((j0 - j_hi) // stride) + 1
+    j1 = j0 + (n_nodes - 1) * stride
+    n_lattice = int(j1.max()) + 1
+    if not n_lattice <= _LATTICE_MAX_NODES:
+        return out, done
+    s_nodes = origin + step * np.arange(n_lattice)
+    w_nodes = np.exp(s_nodes)
+    kernel = s_nodes - df * _kernel_gap(s_nodes)
+    xw_nodes = x * w_nodes
+
+    def integrand(idx: np.ndarray, nodes: slice) -> np.ndarray:
+        f = np.subtract.outer(ncp[live[idx]], xw_nodes[nodes])
+        np.multiply(f, f, out=f)
+        f *= -0.5
+        f += kernel[nodes]
+        f -= g_peak[idx, None]
+        return np.exp(f, out=f)
+
+    for k in range(starts.size):
+        members = order[bounds[k]:bounds[k + 1]]
+        nk, sk, lo_k, hi_k = int(n_nodes[k]), int(stride[k]), int(j0[k]), int(j1[k])
+        if nk > _KERNEL_MAX_NODES:
+            continue
+        h = step * sk
+        weights = np.zeros((nk, 2))
+        weights[:, 0] = h
+        weights[::2, 1] = 2.0 * h
+        w_ends = w_nodes[[lo_k, hi_k]]
+        rows = max(1, _KERNEL_BLOCK // nk)
+        for r in range(0, members.size, rows):
+            idx = members[r:r + rows]
+            pts = live[idx]
+            f = integrand(idx, slice(lo_k, hi_k + 1, sk))
+            full, half = (f @ weights).T
+            # slope of the log-integrand in s at both window ends; beyond
+            # them the mass is at most value / |slope| (the slope is
+            # monotone outside the peak, and at least q on the far left)
+            slope_lo = q + w_ends[0] * (b[pts] - a * w_ends[0])
+            slope_hi = q + w_ends[1] * (b[pts] - a * w_ends[1])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tails = f[:, 0] / np.minimum(slope_lo, q) - f[:, -1] / slope_hi
+            bracketed = (slope_lo > 0.0) & (slope_hi < 0.0) & (full > 0.0)
+            # halve the spacing where the rules disagree: only the midpoints
+            # are new, and the old full rule becomes the new half rule
+            sub = sk
+            while sub > sk // fine:
+                redo = np.flatnonzero(bracketed & (np.abs(full - half) > rel_tol * full))
+                if redo.size == 0:
+                    break
+                sub //= 2
+                mids = integrand(idx[redo], slice(lo_k + sub, hi_k, 2 * sub))
+                half[redo] = full[redo]
+                full[redo] = 0.5 * full[redo] + step * sub * mids.sum(axis=1)
+            ok = (
+                bracketed
+                & (np.abs(full - half) <= rel_tol * full)
+                & (tails <= rel_tol * full)
+            )
+            pts = pts[ok]
+            out[pts] = np.exp(log_scale + g_peak[idx[ok]] + np.log(full[ok]))
+            done[pts] = True
+    return out, done
 
 
 def _g_mixture_log_bf10(stats: SufficientStats, prior: CauchyPrior) -> tuple[float, float]:
@@ -468,21 +678,21 @@ def posterior_density_grid(
             f"grid [{lo:g}, {hi:g}] is empty for a {alternative} alternative"
         )
 
-    root_n = math.sqrt(stats.n_eff)
-
-    def unnormalized(points: np.ndarray) -> np.ndarray:
-        return noncentral_t_pdf(stats.t, stats.df, points * root_n) * prior.density(points)
-
     points = np.linspace(lo, hi, grid_size)
-    values = unnormalized(points)
-    # estimate the clipped tail with margin extensions of a quarter range
+    # estimate the clipped tail with margin extensions of a quarter range,
+    # evaluated with the core grid in one noncentral-t call
     margin = 0.25 * (hi - lo)
     margin_pts = max(grid_size // 8, 64)
-    left = np.linspace(lo - margin, lo, margin_pts)
-    right = np.linspace(hi, hi + margin, margin_pts)
+    left = np.linspace(lo - margin, lo, margin_pts) if alternative != GREATER else points[:0]
+    right = np.linspace(hi, hi + margin, margin_pts) if alternative != LESS else points[:0]
+    everywhere = np.concatenate((points, left, right))
+    unnormalized = noncentral_t_pdf(
+        stats.t, stats.df, everywhere * math.sqrt(stats.n_eff)
+    ) * prior.density(everywhere)
+    values, left_values, right_values = np.split(unnormalized, [grid_size, grid_size + left.size])
     mass_core = np.trapezoid(values, points)
-    mass_left = 0.0 if alternative == GREATER else float(np.trapezoid(unnormalized(left), left))
-    mass_right = 0.0 if alternative == LESS else float(np.trapezoid(unnormalized(right), right))
+    mass_left = float(np.trapezoid(left_values, left)) if left.size else 0.0
+    mass_right = float(np.trapezoid(right_values, right)) if right.size else 0.0
     total = mass_core + mass_left + mass_right
     if total <= 0:
         raise DegenerateDataError("posterior mass vanished on the requested grid")

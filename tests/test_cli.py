@@ -223,6 +223,19 @@ def test_analyze_constant_group_exits_3(tmp_path, capsys):
     assert "zero variance" in capsys.readouterr().err
 
 
+def test_analyze_variance_overflow_exits_2(tmp_path, capsys):
+    import warnings
+
+    path = write(tmp_path / "d.csv",
+                 "group,value\nx,1e200\nx,2e200\nx,3e200\ny,1\ny,2\ny,3\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: group1 has a variance beyond the double-precision range\n"
+    assert caught == []
+
+
 def test_unknown_config_key_exits_2(tmp_path, sim_csv, capsys):
     cfg = write(tmp_path / "c.json", json.dumps({"pd_threshold": 0.9}))
     assert main(["analyze", sim_csv, "--config", cfg]) == 2

@@ -162,6 +162,27 @@ def test_hpd_insufficient_samples():
         hpd_interval(SampleSet(np.arange(99, dtype=float)), 0.95)
 
 
+@pytest.mark.parametrize("mass", [0.5, 0.9, 0.95, 0.99])
+def test_hpd_grid_holds_its_mass_between_equal_densities(mass):
+    # the threshold is solved exactly on the piecewise-linear density: the
+    # interval holds `mass`, and the density is the same at both ends
+    x = np.linspace(-4.0, 12.0, 2001)
+    shapes = (
+        np.exp(-0.5 * x * x),                                       # symmetric
+        np.where(x > 0, x ** 2 * np.exp(-x), 0.0),                  # skewed, zero plateau
+        1.0 / (1.0 + (x / 1e-3) ** 2) + 1e-3 * np.exp(-0.5 * x * x),  # spike on a floor
+        # a floor so low that its segments count as flat steps in the first
+        # estimate, which then misplaces the bracketing pair of densities
+        1.0 / (1.0 + (x / 1e-3) ** 2) + 1e-4 * np.exp(-0.5 * x * x),
+    )
+    for dens in shapes:
+        grid = normalize_grid(DensityGrid(x, dens))
+        got = hpd_interval(grid, mass)
+        assert mass_in_interval(grid, got.lower, got.upper) == pytest.approx(mass, abs=1e-13)
+        ends = grid.density_at(np.array([got.lower, got.upper]))
+        assert ends[0] == pytest.approx(ends[1], rel=1e-9)
+
+
 def test_hpd_multimodal_grid_raises():
     x = np.linspace(-6, 6, 1201)
     dens = np.exp(-0.5 * (x - 3) ** 2) + np.exp(-0.5 * (x + 3) ** 2)

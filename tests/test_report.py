@@ -134,6 +134,38 @@ def test_run_all_indices_matches_reference_values(reference):
     assert ind["map_location"] == pytest.approx(reference["map_location"], rel=1e-12)
 
 
+def test_run_all_indices_finds_map_and_median_once(reference, monkeypatch):
+    from bayesindices import indices, posterior, report
+
+    calls = {"map_estimate": 0, "grid_quantile": 0}
+
+    def counted(name):
+        original = getattr(posterior, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name)
+        for module in (indices, report):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    run_all_indices(reference["posterior"], reference["prior_grid"], Hypotheses(0.0), Rope())
+    assert calls == {"map_estimate": 1, "grid_quantile": 1}
+
+
+def test_given_map_and_median_give_identical_indices(reference):
+    from bayesindices import map_estimate, map_p_value, posterior_median, probability_of_direction
+
+    grid = reference["posterior"]
+    for null in (0.0, 0.05, -0.1):
+        assert map_p_value(grid, null, map_estimate(grid)) == map_p_value(grid, null)
+    assert probability_of_direction(grid, posterior_median(grid)) == probability_of_direction(grid)
+
+
 def test_report_serializes_to_json(reference):
     report = run_all_indices(
         reference["posterior"], reference["prior_grid"], Hypotheses(0.0), Rope(-0.1, 0.1)

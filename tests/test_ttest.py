@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import stats as sps
 
 from bayesindices import (
@@ -45,6 +47,12 @@ def test_two_sample_data_validation():
         TwoSampleData([1.0, 1.0], [1.0, 2.0])
     with pytest.raises(InvalidArgumentError):
         TwoSampleData([1.0, np.inf], [1.0, 2.0])
+
+
+def test_two_sample_data_refuses_overflowing_variance():
+    # finite values whose variance is not a double
+    with pytest.raises(InvalidArgumentError, match="group2 has a variance"):
+        TwoSampleData([1.0, 2.0], [1e200, 2e200, 3e200])
 
 
 def test_sufficient_stats_consistency_checks():
@@ -165,6 +173,135 @@ def test_nct_argument_validation():
         noncentral_t_pdf(0.0, -1.0, 0.0)
     with pytest.raises(InvalidArgumentError):
         noncentral_t_pdf(np.inf, 98, 0.0)
+
+
+# ---------------------------------------------------------------- shared-x kernel
+
+def _oracle_nct(x, df, ncp):
+    """50-digit scale-mixture integral, split at the integrand's peak and at
+    +-8 and +-30 of its widths (one unsplit mp.quad misses the peak: 3e-3
+    relative at x = -20, df = 198)."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        x, df, ncp = mp.mpf(x), mp.mpf(df), mp.mpf(ncp)
+        a, b = x * x + df, x * ncp
+        peak = (b + mp.sqrt(b * b + 4 * a * df)) / (2 * a)
+        width = 1 / mp.sqrt(df / peak**2 + a)
+        log_peak = df * mp.log(peak) - (a * peak**2 - 2 * b * peak + ncp**2) / 2
+        log_const = (df / 2 * mp.log(df) - mp.log(2 * mp.pi) / 2
+                     - (df / 2 - 1) * mp.log(2) - mp.loggamma(df / 2))
+
+        def f(w):
+            return mp.exp(df * mp.log(w) - (a * w * w - 2 * b * w + ncp**2) / 2 - log_peak)
+
+        cuts = [0] + [peak + k * width for k in (-30, -8, 0, 8, 30) if peak + k * width > 0]
+        return float(mp.exp(log_const + log_peak) * mp.quad(f, cuts + [mp.inf]))
+
+
+def _live_ncp_grid(x, df, size=257):
+    """Noncentralities across the range where the density exceeds 1e-250."""
+    spread = math.sqrt(1.0 + x * x / (2.0 * df))
+    wide = x + np.linspace(-45.0, 45.0, 4001) * spread
+    live = wide[noncentral_t_pdf(x, df, wide) >= 1e-250]
+    return np.linspace(live[0], live[-1], size)
+
+
+@pytest.mark.parametrize("df", [4, 98, 5_000, 199_998])
+def test_nct_shared_x_matches_mpmath_oracle(df):
+    for x in (-15.0, -1.3, 0.0, 6.5):
+        ncp = _live_ncp_grid(x, df)
+        got = noncentral_t_pdf(x, df, ncp)
+        for i in (0, 96, 192, 256):
+            want = _oracle_nct(x, df, ncp[i])
+            assert want >= 1e-250
+            assert abs(got[i] - want) <= 1e-11 * want, (x, df, ncp[i])
+
+
+@pytest.mark.parametrize("x", [-15.0, 15.0])
+def test_nct_far_tail_matches_mpmath_oracle(x):
+    # ncp = 0 at |t| = 15 lies about e^-112 below the density's peak in ncp
+    for df in (4, 98, 199_998):
+        ncp = np.array([0.0, x / 2, x])
+        got = noncentral_t_pdf(x, df, ncp)
+        for g, n in zip(got, ncp):
+            want = _oracle_nct(x, df, n)
+            assert abs(g - want) <= 1e-11 * want, (x, df, n)
+
+
+def test_nct_df4_grid_and_far_tail_are_certified():
+    # the nested trapezoid refinement brings the skewed df = 4 integrands
+    # into the kernel, and each point's window reaches its own far-tail peak
+    from bayesindices.ttest import _shared_x_kernel
+
+    x, df = 1.29, 4.0
+    ncp = np.linspace(-3.0, 0.0, 4096) * math.sqrt(1.5)
+    _, done = _shared_x_kernel(x, ncp, df, 1e-12)
+    assert done.all()
+    far = np.array([x - 38.0, x + 30.0])
+    values, done = _shared_x_kernel(x, far, df, 1e-12)
+    assert done.all()
+    for v, n in zip(values, far):
+        assert abs(v - _oracle_nct(x, df, n)) <= 1e-11 * v
+
+
+def test_nct_fallback_points_meet_mpmath_oracle(monkeypatch):
+    # at df = 2 (two observations per group) the kernel declines part of
+    # the right tail; those points, and only those, take the per-point path
+    from bayesindices import ttest
+
+    x, df = 1.0, 2.0
+    ncp = np.linspace(-20.0, 45.0, 261)
+    _, done = ttest._shared_x_kernel(x, ncp, df, 1e-12)
+    assert 0 < (~done).sum() < ncp.size
+    calls = []
+    per_point = ttest._per_point_nct
+
+    def spy(xf, nf, df_, rel_tol):
+        calls.append(nf.copy())
+        return per_point(xf, nf, df_, rel_tol)
+
+    monkeypatch.setattr(ttest, "_per_point_nct", spy)
+    got = noncentral_t_pdf(x, df, ncp)
+    assert len(calls) == 1 and np.array_equal(calls[0], ncp[~done])
+    for i in np.flatnonzero(~done)[::8]:
+        want = _oracle_nct(x, df, ncp[i])
+        assert abs(got[i] - want) <= 1e-11 * want, ncp[i]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x=hst.floats(-15.0, 15.0),
+    log10_df=hst.floats(math.log10(2.0), math.log10(2e5)),
+    centre=hst.floats(-3.0, 3.0),
+    half_width=hst.floats(0.1, 60.0),
+    size=hst.integers(1, 300),
+)
+def test_nct_certified_points_agree_with_per_point_path(x, log10_df, centre, half_width, size):
+    from bayesindices.ttest import _per_point_nct, _shared_x_kernel
+
+    df = float(round(10.0 ** log10_df))
+    ncp = x + centre * math.sqrt(1.0 + x * x / (2.0 * df)) + np.linspace(
+        -half_width, half_width, size
+    )
+    values, done = _shared_x_kernel(x, ncp, df, 1e-12)
+    reference = _per_point_nct(np.full(size, x), ncp, df, 1e-12)
+    check = done & (reference >= 1e-250)
+    assert np.all(np.abs(values[check] - reference[check]) <= 1e-11 * reference[check])
+    # a point certified as zero has a negligible peak on the other path too
+    assert np.all(reference[done & (values == 0.0)] < 1e-300)
+
+
+def test_nct_scalar_and_broadcast_shapes_keep_their_path():
+    ncp = np.array([[0.5, 1.0], [2.0, 3.0]])
+    grid = noncentral_t_pdf(2.0, 98, ncp)
+    assert grid.shape == (2, 2)
+    for idx in np.ndindex(2, 2):
+        one = noncentral_t_pdf(2.0, 98, ncp[idx])
+        assert isinstance(one, float)
+        assert grid[idx] == pytest.approx(one, rel=1e-12)
+    xs = np.array([1.0, 2.0])
+    assert noncentral_t_pdf(xs, 98, 1.0).shape == (2,)
 
 
 # ---------------------------------------------------------------- posterior grid
