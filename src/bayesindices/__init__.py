@@ -42,7 +42,6 @@ from .posterior import (
 from .ttest import (
     BayesFactor,
     CauchyPrior,
-    Hypotheses,
     SufficientStats,
     TwoSampleData,
     central_t_pdf,
@@ -73,13 +72,16 @@ from .indices import (
     probability_of_direction,
     rope_decision,
     rope_mass,
+    rope_verdict,
     savage_dickey_bf,
     surprise_function,
 )
 from .report import (
+    Analysis,
     AnalysisConfig,
     IndexReport,
     Thresholds,
+    analyze,
     derive_verdicts,
     run_all_indices,
 )
@@ -103,7 +105,7 @@ __all__ = [
     "level_set_mass", "map_estimate", "mass_in_interval", "normalize_grid",
     "sample_from_grid", "silverman_bandwidth",
     # two-sample model
-    "BayesFactor", "CauchyPrior", "Hypotheses", "SufficientStats",
+    "BayesFactor", "CauchyPrior", "SufficientStats",
     "TwoSampleData", "central_t_pdf", "cohen_d", "cohen_d_from_moments",
     "jzs_bayes_factor", "noncentral_t_pdf", "posterior_density_grid",
     "simulate_two_sample", "sufficient_stats",
@@ -113,10 +115,10 @@ __all__ = [
     "HELD_OTT2016", "JEFFREYS1961", "LEE_WAGENMAKERS2013", "Rope",
     "RopeDecision", "categorize_bf", "fbst_evalue", "map_p_value",
     "posterior_median", "probability_of_direction", "rope_decision",
-    "rope_mass", "savage_dickey_bf", "surprise_function",
-    # report plumbing
-    "AnalysisConfig", "IndexReport", "Thresholds", "derive_verdicts",
-    "run_all_indices",
+    "rope_mass", "rope_verdict", "savage_dickey_bf", "surprise_function",
+    # the analysis pipeline and its report
+    "Analysis", "AnalysisConfig", "IndexReport", "Thresholds", "analyze",
+    "derive_verdicts", "run_all_indices",
     # replication harness
     "ReplicationReport", "calibrate_reference_t", "reference_analysis",
     "run_replication",

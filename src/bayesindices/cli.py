@@ -1,4 +1,5 @@
-"""Command-line front end: ingestion, orchestration, reports, plot data.
+"""Command-line front end: CSV ingestion, configuration, and the views of
+`report.analyze` (the JSON or text report, and the plot data).
 
 Commands
 --------
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -25,19 +27,16 @@ from .errors import (
     InputError,
     InvalidArgumentError,
 )
-from .indices import fbst_evalue, rope_decision, surprise_function
-from .posterior import ReferenceFunction, map_estimate
-from .report import AnalysisConfig, IndexReport, run_all_indices
+from .indices import surprise_function
+from .posterior import ReferenceFunction
+from .report import AnalysisConfig, analyze
 from .replicate import run_replication
 from .ttest import (
     GREATER,
     LESS,
     TWO_SIDED,
-    CauchyPrior,
     TwoSampleData,
     cohen_d,
-    jzs_bayes_factor,
-    posterior_density_grid,
     simulate_two_sample,
     sufficient_stats,
 )
@@ -196,7 +195,6 @@ def _load_config(args: argparse.Namespace) -> AnalysisConfig:
         "null_value": args.null_value,
         "alternative": args.alternative,
         "grid_size": args.grid_size,
-        "seed": args.seed,
     }
     if args.rope is not None:
         overrides["rope"] = list(args.rope)
@@ -216,53 +214,6 @@ def _load_config(args: argparse.Namespace) -> AnalysisConfig:
     return AnalysisConfig.from_dict(merged)
 
 
-def _data_digest(data: TwoSampleData, stats: SufficientStats) -> dict[str, Any]:
-    return {
-        "n1": int(data.group1.size),
-        "n2": int(data.group2.size),
-        "mean1": float(data.group1.mean()),
-        "sd1": float(data.group1.std(ddof=1)),
-        "mean2": float(data.group2.mean()),
-        "sd2": float(data.group2.std(ddof=1)),
-        "t": stats.t,
-        "df": stats.df,
-        "n_eff": stats.n_eff,
-        "cohen_d": cohen_d(data),
-    }
-
-
-def _build_analysis(data: TwoSampleData, config: AnalysisConfig):
-    stats = sufficient_stats(data)
-    prior = CauchyPrior(config.scale)
-    posterior = posterior_density_grid(
-        stats, prior, grid_size=config.grid_size, alternative=config.alternative
-    )
-    prior_grid = prior.on_grid(posterior.points, config.alternative)
-    return stats, prior, posterior, prior_grid
-
-
-def _analyze_report(data: TwoSampleData, config: AnalysisConfig) -> IndexReport:
-    stats, prior, posterior, prior_grid = _build_analysis(data, config)
-    # the analytic Bayes factor tests the zero null only
-    bf = None
-    if config.null_value == 0.0:
-        bf = jzs_bayes_factor(stats, prior, config.alternative)
-    report = run_all_indices(
-        posterior,
-        prior_grid,
-        config.hypotheses(),
-        config.rope,
-        config.hpd_mass,
-        config.thresholds,
-        analytic_bf01=None if bf is None else bf.bf01,
-        analytic_bf10=None if bf is None else bf.bf10,
-        extra_diagnostics={"bf01_quadrature_rel_error": None if bf is None else bf.rel_error},
-    )
-    report.config = config.echo()
-    report.data = _data_digest(data, stats)
-    return report
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -273,7 +224,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = _load_config(args)
     data = read_two_group_csv(args.data)
-    report = _analyze_report(data, config)
+    report = analyze(sufficient_stats(data), config).report(data)
     rendered = report.to_json() + "\n" if args.format == "json" else report.to_text()
     _emit(rendered, args.out)
     return 0
@@ -287,8 +238,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else 0
-    data = simulate_two_sample(args.mean1, args.sd1, args.mean2, args.sd2, args.n, seed)
+    data = simulate_two_sample(args.mean1, args.sd1, args.mean2, args.sd2, args.n, args.seed)
     lines = ["group,value"]
     for label, values in (("group1", data.group1), ("group2", data.group2)):
         lines.extend(f"{label},{float(value)!r}" for value in values)
@@ -297,10 +247,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     realized = cohen_d(data)
     if args.format == "json":
         sys.stdout.write(json.dumps(
-            {"path": str(out), "n_per_group": args.n, "seed": seed,
+            {"path": str(out), "n_per_group": args.n, "seed": args.seed,
              "cohen_d": realized}) + "\n")
     else:
-        sys.stdout.write(f"wrote {out} ({args.n} observations per group, seed {seed}); "
+        sys.stdout.write(f"wrote {out} ({args.n} observations per group, seed {args.seed}); "
                          f"realized cohen_d = {realized:.4f}\n")
     return 0
 
@@ -308,7 +258,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_plotdata(args: argparse.Namespace) -> int:
     config = _load_config(args)
     data = read_two_group_csv(args.data)
-    stats, prior, posterior, prior_grid = _build_analysis(data, config)
+    analysis = analyze(sufficient_stats(data), config)
+    marks = analysis.require("map_location", "hpd_lower", "hpd_upper",
+                             "s_star_flat", "s_star_prior")
+    posterior, prior_grid = analysis.posterior, analysis.prior_grid
 
     flat_surprise = surprise_function(posterior, ReferenceFunction.flat())
     prior_surprise = surprise_function(posterior, ReferenceFunction.from_prior(prior_grid))
@@ -326,22 +279,18 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
         )
     (out_dir / "density.csv").write_text("\n".join(density_rows) + "\n", encoding="utf-8")
 
-    decision = rope_decision(posterior, config.rope, config.hpd_mass)
-    peak = map_estimate(posterior)
-    s_flat = fbst_evalue(posterior, ReferenceFunction.flat(), config.null_value)
-    s_prior = fbst_evalue(posterior, ReferenceFunction.from_prior(prior_grid), config.null_value)
     annotation_rows = [
         "# columns: name = annotation id; kind = vertical (effect-size axis) "
         "or horizontal (density/surprise axis); value = position",
         "name,kind,value",
         f"null_value,vertical,{config.null_value!r}",
-        f"map,vertical,{peak.location!r}",
-        f"hpd_lower,vertical,{decision.hpd.lower!r}",
-        f"hpd_upper,vertical,{decision.hpd.upper!r}",
+        f"map,vertical,{marks['map_location']!r}",
+        f"hpd_lower,vertical,{marks['hpd_lower']!r}",
+        f"hpd_upper,vertical,{marks['hpd_upper']!r}",
         f"rope_lower,vertical,{config.rope.lower!r}",
         f"rope_upper,vertical,{config.rope.upper!r}",
-        f"s_star_flat,horizontal,{s_flat.s_star!r}",
-        f"s_star_prior,horizontal,{s_prior.s_star!r}",
+        f"s_star_flat,horizontal,{marks['s_star_flat']!r}",
+        f"s_star_prior,horizontal,{marks['s_star_prior']!r}",
     ]
     (out_dir / "annotations.csv").write_text("\n".join(annotation_rows) + "\n",
                                              encoding="utf-8")
@@ -349,14 +298,14 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its values")
+def _add_output_options(parser: argparse.ArgumentParser, out_help: str) -> None:
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", help="write output here instead of stdout")
+    parser.add_argument("--out", help=out_help)
 
 
 def _add_analysis_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("data", help="CSV file with a group,value header")
+    parser.add_argument("--config", help="JSON config file; flags override its values")
     prior = parser.add_mutually_exclusive_group()
     prior.add_argument("--prior-scale", type=float, default=None,
                        help="Cauchy prior scale on the effect size")
@@ -381,9 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="compute all indices for a two-group CSV")
-    p.add_argument("data", help="CSV file with a group,value header")
-    _add_common(p)
     _add_analysis_options(p)
+    _add_output_options(p, "write the report here instead of stdout")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser(
@@ -391,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify the built-in reference example against its published values",
     )
     p.add_argument("--profile", choices=("strict", "loose"), default="strict")
-    _add_common(p)
+    _add_output_options(p, "write the report here instead of stdout")
     p.set_defaults(func=cmd_replicate)
 
     p = sub.add_parser("simulate", help="write a seeded synthetic dataset")
@@ -400,22 +348,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean2", type=float, default=1.72)
     p.add_argument("--sd2", type=float, default=1.51)
     p.add_argument("--n", type=int, default=50, help="observations per group")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    _add_output_options(p, "CSV file to write (default simulated.csv); "
+                           "the summary goes to stdout")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("plotdata", help="export density curves and annotations as CSV")
-    p.add_argument("data", help="CSV file with a group,value header")
-    _add_common(p)
     _add_analysis_options(p)
+    p.add_argument("--out", help="directory for density.csv and annotations.csv "
+                                 "(default plotdata)")
     p.set_defaults(func=cmd_plotdata)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing keeps no state in it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

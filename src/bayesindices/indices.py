@@ -167,22 +167,25 @@ def categorize_bf(bf01: float, scale: EvidenceScale) -> BfCategory:
     return BfCategory(scale.labels[-1], direction)
 
 
+def rope_verdict(hpd_lower: float, hpd_upper: float, rope: Rope) -> str:
+    """HPD-versus-ROPE containment rule: reject when the HPD lies entirely
+    outside the ROPE, accept when entirely inside, undecided otherwise."""
+    if hpd_upper < rope.lower or hpd_lower > rope.upper:
+        return REJECT_NULL
+    if rope.lower <= hpd_lower and hpd_upper <= rope.upper:
+        return ACCEPT_NULL
+    return UNDECIDED
+
+
 def rope_decision(
     posterior: SampleSet | DensityGrid,
     rope: Rope,
     hpd_mass: float = 0.95,
 ) -> RopeDecision:
-    """HPD-versus-ROPE containment rule: reject when the HPD lies entirely
-    outside the ROPE, accept when entirely inside, undecided otherwise."""
+    """The HPD, its `rope_verdict` and the posterior mass in the ROPE."""
     hpd = hpd_interval(posterior, hpd_mass)
-    if hpd.upper < rope.lower or hpd.lower > rope.upper:
-        verdict = REJECT_NULL
-    elif rope.lower <= hpd.lower and hpd.upper <= rope.upper:
-        verdict = ACCEPT_NULL
-    else:
-        verdict = UNDECIDED
     return RopeDecision(
-        verdict=verdict,
+        verdict=rope_verdict(hpd.lower, hpd.upper, rope),
         hpd=hpd,
         mass_in_rope=mass_in_interval(posterior, rope.lower, rope.upper),
     )

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from .errors import ConvergenceError, InvalidArgumentError
-from .indices import Rope, fbst_evalue, map_p_value, probability_of_direction, rope_decision, rope_mass, savage_dickey_bf
-from .posterior import ReferenceFunction, map_estimate
-from .ttest import TWO_SIDED, CauchyPrior, SufficientStats, jzs_bayes_factor, posterior_density_grid
+from .indices import Rope
+from .report import AnalysisConfig, analyze
+from .ttest import CauchyPrior, SufficientStats, jzs_bayes_factor
 
 REFERENCE_N = 50
 REFERENCE_PRIOR_SCALE = 1.0
@@ -109,31 +109,32 @@ def reference_analysis(grid_size: int = 4096) -> dict[str, Any]:
         n1=REFERENCE_N,
         n2=REFERENCE_N,
     )
-    prior = CauchyPrior(REFERENCE_PRIOR_SCALE)
-    posterior = posterior_density_grid(stats, prior, grid_size=grid_size)
-    prior_grid = prior.on_grid(posterior.points, TWO_SIDED)
-
-    decision = rope_decision(posterior, REFERENCE_ROPE, REFERENCE_HPD_MASS)
-    flat = fbst_evalue(posterior, ReferenceFunction.flat(), 0.0)
-    prior_ref = fbst_evalue(posterior, ReferenceFunction.from_prior(prior_grid), 0.0)
-    peak = map_estimate(posterior)
+    analysis = analyze(stats, AnalysisConfig(
+        prior_scale=REFERENCE_PRIOR_SCALE, rope=REFERENCE_ROPE,
+        hpd_mass=REFERENCE_HPD_MASS, grid_size=grid_size,
+    ))
+    ind = analysis.require(
+        "density_at_null", "bf01_savage_dickey", "map_location", "p_map", "pd",
+        "ev_against_flat", "ev_against_prior", "hpd_lower", "hpd_upper", "rope_mass",
+        "rope_mass_total",
+    )
     return {
         "t_star": t_star,
-        "bf01_analytic": jzs_bayes_factor(stats, prior).bf01,
+        "bf01_analytic": analysis.bayes_factor().bf01,
         "stats": stats,
-        "posterior": posterior,
-        "prior_grid": prior_grid,
-        "density_at_null": float(posterior.density_at(0.0)),
-        "savage_dickey_bf01": savage_dickey_bf(posterior, prior_grid, 0.0),
-        "map_location": peak.location,
-        "p_map": map_p_value(posterior, 0.0, peak),
-        "pd": probability_of_direction(posterior),
-        "ev_against_flat": flat.ev_against,
-        "ev_against_prior": prior_ref.ev_against,
-        "hpd": (decision.hpd.lower, decision.hpd.upper),
-        "rope_mass": rope_mass(posterior, REFERENCE_ROPE, REFERENCE_HPD_MASS, hpd=decision.hpd),
-        "rope_verdict": decision.verdict,
-        "mass_in_rope_total": decision.mass_in_rope,
+        "posterior": analysis.posterior,
+        "prior_grid": analysis.prior_grid,
+        "density_at_null": ind["density_at_null"],
+        "savage_dickey_bf01": ind["bf01_savage_dickey"],
+        "map_location": ind["map_location"],
+        "p_map": ind["p_map"],
+        "pd": ind["pd"],
+        "ev_against_flat": ind["ev_against_flat"],
+        "ev_against_prior": ind["ev_against_prior"],
+        "hpd": (ind["hpd_lower"], ind["hpd_upper"]),
+        "rope_mass": ind["rope_mass"],
+        "rope_verdict": analysis.block.verdicts["rope"],
+        "mass_in_rope_total": ind["rope_mass_total"],
     }
 
 

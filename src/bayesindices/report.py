@@ -1,5 +1,8 @@
-"""Analysis configuration, the aggregated index report, and the one-call
-runner that fills it.
+"""Analysis configuration, the one analysis pipeline, and the index report.
+
+`analyze` builds the prior, the posterior and prior grids and the index
+block (`run_all_indices`) once; the `analyze` report, the plot export and
+the replication check are views of its `Analysis`.
 
 Reports are plain nested dictionaries wrapped in a small dataclass so they
 serialize to JSON byte-identically across runs: no wall-clock fields are
@@ -10,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -27,10 +30,22 @@ from .indices import (
     probability_of_direction,
     rope_decision,
     rope_mass,
+    rope_verdict,
     savage_dickey_bf,
 )
 from .posterior import DensityGrid, ReferenceFunction, grid_mean, map_estimate
-from .ttest import ALTERNATIVES, PRIOR_PRESETS, TWO_SIDED, Hypotheses
+from .ttest import (
+    ALTERNATIVES,
+    PRIOR_PRESETS,
+    TWO_SIDED,
+    BayesFactor,
+    CauchyPrior,
+    SufficientStats,
+    TwoSampleData,
+    cohen_d,
+    jzs_bayes_factor,
+    posterior_density_grid,
+)
 
 
 @dataclass(frozen=True)
@@ -60,7 +75,6 @@ class AnalysisConfig:
     alternative: str = TWO_SIDED
     grid_size: int = 4096
     thresholds: Thresholds = field(default_factory=Thresholds)
-    seed: int | None = None
 
     def __post_init__(self):
         if self.prior_scale is not None and self.prior_preset is not None:
@@ -92,9 +106,6 @@ class AnalysisConfig:
             return self.prior_scale
         return 1.0
 
-    def hypotheses(self) -> Hypotheses:
-        return Hypotheses(null_value=self.null_value, alternative=self.alternative)
-
     def to_dict(self) -> dict[str, Any]:
         """Round-trippable form: only one of prior_scale/prior_preset is set."""
         return {
@@ -110,7 +121,6 @@ class AnalysisConfig:
                 "p_map": self.thresholds.p_map,
                 "ev": self.thresholds.ev,
             },
-            "seed": self.seed,
         }
 
     def echo(self) -> dict[str, Any]:
@@ -121,7 +131,7 @@ class AnalysisConfig:
 
     _KEYS = (
         "prior_scale", "prior_preset", "rope", "hpd_mass", "null_value",
-        "alternative", "grid_size", "thresholds", "seed",
+        "alternative", "grid_size", "thresholds",
     )
 
     @classmethod
@@ -131,7 +141,7 @@ class AnalysisConfig:
             raise InvalidArgumentError(
                 f"unknown config key(s): {', '.join(sorted(unknown))}"
             )
-        kwargs: dict[str, Any] = {k: v for k, v in raw.items() if k in cls._KEYS}
+        kwargs = dict(raw)
         if "rope" in kwargs and kwargs["rope"] is not None:
             lo, hi = kwargs["rope"]
             kwargs["rope"] = Rope(float(lo), float(hi))
@@ -143,7 +153,7 @@ class AnalysisConfig:
                     f"unknown threshold key(s): {', '.join(sorted(extra))}"
                 )
             kwargs["thresholds"] = Thresholds(**thr)
-        return cls(**{k: v for k, v in kwargs.items() if v is not None or k in ("prior_scale", "prior_preset", "seed")})
+        return cls(**{k: v for k, v in kwargs.items() if v is not None})
 
 
 def package_versions() -> dict[str, str]:
@@ -162,14 +172,8 @@ def derive_verdicts(indices: dict[str, Any], thresholds: Thresholds, rope: Rope)
     verdicts: dict[str, Any] = {}
     hpd_lower = indices.get("hpd_lower")
     hpd_upper = indices.get("hpd_upper")
-    if hpd_lower is None or hpd_upper is None:
-        verdicts["rope"] = None
-    elif hpd_upper < rope.lower or hpd_lower > rope.upper:
-        verdicts["rope"] = "reject_null"
-    elif rope.lower <= hpd_lower and hpd_upper <= rope.upper:
-        verdicts["rope"] = "accept_null"
-    else:
-        verdicts["rope"] = "undecided"
+    verdicts["rope"] = (None if hpd_lower is None or hpd_upper is None
+                        else rope_verdict(hpd_lower, hpd_upper, rope))
     p_map = indices.get("p_map")
     verdicts["p_map_reject"] = None if p_map is None else bool(p_map < thresholds.p_map)
     pd = indices.get("pd")
@@ -188,11 +192,17 @@ class IndexReport:
     indices: dict[str, Any]
     verdicts: dict[str, Any]
     diagnostics: dict[str, Any]
-    errors: dict[str, str]
+    # the exception each failed index raised, by index name
+    failures: dict[str, Exception]
     versions: dict[str, str]
     data: dict[str, Any] | None = None
     # analytic bf10 from the Bayes-factor owner, for the text report only
     analytic_bf10: float | None = None
+
+    @property
+    def errors(self) -> dict[str, str]:
+        """The failures as messages, the report's ``errors`` block."""
+        return {name: f"{type(exc).__name__}: {exc}" for name, exc in self.failures.items()}
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -276,75 +286,63 @@ class IndexReport:
         return "\n".join(lines) + "\n"
 
 
+# the index-block keys each trapped index fills, by index name
+_INDEX_KEYS = {
+    "savage_dickey": ("bf01_savage_dickey", "bf10_savage_dickey", "bf_labels"),
+    "rope": ("hpd_lower", "hpd_upper", "rope_mass_total", "rope_mass"),
+    "p_map": ("p_map",),
+    "fbst_flat": ("ev_against_flat", "ev_for_flat", "s_star_flat"),
+    "fbst_prior": ("ev_against_prior", "ev_for_prior", "s_star_prior"),
+}
+
+
 def run_all_indices(
-    posterior: DensityGrid,
-    prior: DensityGrid,
-    hypotheses: Hypotheses,
-    rope: Rope,
-    hpd_mass: float = 0.95,
-    thresholds: Thresholds | None = None,
-    *,
-    analytic_bf01: float | None = None,
-    analytic_bf10: float | None = None,
-    extra_diagnostics: dict[str, Any] | None = None,
+    posterior: DensityGrid, prior: DensityGrid, config: AnalysisConfig
 ) -> IndexReport:
     """Compute every index on a shared posterior/prior pair.
 
-    Individual index failures are trapped and recorded under ``errors``
-    while the remaining indices still run; the corresponding index fields
-    are left as None.
+    Individual index failures are trapped and kept under ``failures`` while
+    the remaining indices still run; the corresponding index fields are left
+    as None. ``bf01_analytic`` is None too: the analytic Bayes factor is not
+    read off the grids (`Analysis.report` adds it).
     """
-    if thresholds is None:
-        thresholds = Thresholds()
-    if not rope.contains(hypotheses.null_value):
-        raise InvalidArgumentError("ROPE must contain the null value")
-    null = hypotheses.null_value
+    null = config.null_value
+    indices: dict[str, Any] = {"bf01_analytic": None}
+    failures: dict[str, Exception] = {}
 
-    indices: dict[str, Any] = {}
-    errors: dict[str, str] = {}
-
-    def attempt(name: str, fn, *keys: str):
+    def attempt(name: str, fn) -> None:
         try:
-            return fn()
+            values = fn()
         except (BayesIndicesError, ZeroDivisionError) as exc:
-            errors[name] = f"{type(exc).__name__}: {exc}"
-            for key in keys or (name,):
-                indices.setdefault(key, None)
-            return None
+            failures[name] = exc
+            values = (None,) * len(_INDEX_KEYS[name])
+        indices.update(zip(_INDEX_KEYS[name], values))
 
-    indices["bf01_analytic"] = analytic_bf01
-
-    bf = attempt(
-        "savage_dickey",
-        lambda: savage_dickey_bf(posterior, prior, null),
-        "bf01_savage_dickey", "bf10_savage_dickey", "bf_labels",
-    )
-    if bf is not None:
-        indices["bf01_savage_dickey"] = bf
-        indices["bf10_savage_dickey"] = 1.0 / bf
-        indices["bf_labels"] = {
+    def savage_dickey():
+        bf01 = savage_dickey_bf(posterior, prior, null)
+        bf10 = 1.0 / bf01
+        labels = {
             scale.name: {"label": cat.label, "direction": cat.direction}
             for scale in ALL_SCALES
-            for cat in (categorize_bf(bf, scale),)
+            for cat in (categorize_bf(bf01, scale),)
         }
+        return bf01, bf10, labels
 
-    decision = attempt(
-        "rope",
-        lambda: rope_decision(posterior, rope, hpd_mass),
-        "hpd_lower", "hpd_upper", "rope_mass_total", "rope_mass",
-    )
-    if decision is not None:
-        indices["hpd_lower"] = decision.hpd.lower
-        indices["hpd_upper"] = decision.hpd.upper
-        indices["rope_mass_total"] = decision.mass_in_rope
-        indices["rope_mass"] = rope_mass(posterior, rope, hpd_mass, hpd=decision.hpd)
+    def rope():
+        decision = rope_decision(posterior, config.rope, config.hpd_mass)
+        return (decision.hpd.lower, decision.hpd.upper, decision.mass_in_rope,
+                rope_mass(posterior, config.rope, hpd=decision.hpd))
 
+    def fbst(reference: ReferenceFunction):
+        result = fbst_evalue(posterior, reference, null)
+        return result.ev_against, result.ev_for, result.s_star
+
+    attempt("savage_dickey", savage_dickey)
+    attempt("rope", rope)
     peak = map_estimate(posterior)
     indices["map_location"] = peak.location
     indices["map_density"] = peak.density
-    p_map = attempt("p_map", lambda: map_p_value(posterior, null, peak), "p_map")
-    if p_map is not None:
-        indices["p_map"] = p_map
+    attempt("p_map", lambda: (map_p_value(posterior, null, peak),))
 
     median = posterior_median(posterior)
     indices["pd"] = probability_of_direction(posterior, median)
@@ -355,28 +353,8 @@ def run_all_indices(
         if posterior.support[0] <= null <= posterior.support[1]
         else None
     )
-
-    flat = ReferenceFunction.flat()
-    fbst_flat = attempt(
-        "fbst_flat",
-        lambda: fbst_evalue(posterior, flat, null),
-        "ev_against_flat", "ev_for_flat", "s_star_flat",
-    )
-    if fbst_flat is not None:
-        indices["ev_against_flat"] = fbst_flat.ev_against
-        indices["ev_for_flat"] = fbst_flat.ev_for
-        indices["s_star_flat"] = fbst_flat.s_star
-
-    prior_ref = ReferenceFunction.from_prior(prior)
-    fbst_prior = attempt(
-        "fbst_prior",
-        lambda: fbst_evalue(posterior, prior_ref, null),
-        "ev_against_prior", "ev_for_prior", "s_star_prior",
-    )
-    if fbst_prior is not None:
-        indices["ev_against_prior"] = fbst_prior.ev_against
-        indices["ev_for_prior"] = fbst_prior.ev_for
-        indices["s_star_prior"] = fbst_prior.s_star
+    attempt("fbst_flat", lambda: fbst(ReferenceFunction.flat()))
+    attempt("fbst_prior", lambda: fbst(ReferenceFunction.from_prior(prior)))
 
     diagnostics: dict[str, Any] = {
         "map_at_boundary": peak.at_boundary,
@@ -387,26 +365,83 @@ def run_all_indices(
         "grid_points": int(posterior.points.size),
         "support": [posterior.support[0], posterior.support[1]],
     }
-    if extra_diagnostics:
-        diagnostics.update(extra_diagnostics)
-
-    config_echo = {
-        "prior_scale": None,
-        "prior_preset": None,
-        "rope": [rope.lower, rope.upper],
-        "hpd_mass": hpd_mass,
-        "null_value": null,
-        "alternative": hypotheses.alternative,
-        "grid_size": int(posterior.points.size),
-        "thresholds": {"pd": thresholds.pd, "p_map": thresholds.p_map, "ev": thresholds.ev},
-        "seed": None,
-    }
     return IndexReport(
-        config=config_echo,
+        config=config.echo(),
         indices=indices,
-        verdicts=derive_verdicts(indices, thresholds, rope),
+        verdicts=derive_verdicts(indices, config.thresholds, config.rope),
         diagnostics=diagnostics,
-        errors=errors,
+        failures=failures,
         versions=package_versions(),
-        analytic_bf10=analytic_bf10,
     )
+
+
+def _data_digest(data: TwoSampleData, stats: SufficientStats) -> dict[str, Any]:
+    return {
+        "n1": int(data.group1.size),
+        "n2": int(data.group2.size),
+        "mean1": float(data.group1.mean()),
+        "sd1": float(data.group1.std(ddof=1)),
+        "mean2": float(data.group2.mean()),
+        "sd2": float(data.group2.std(ddof=1)),
+        "t": stats.t,
+        "df": stats.df,
+        "n_eff": stats.n_eff,
+        "cohen_d": cohen_d(data),
+    }
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """One analysis: the prior, the posterior and prior grids, and the index
+    block (`run_all_indices`) read off them."""
+
+    config: AnalysisConfig
+    stats: SufficientStats
+    prior: CauchyPrior
+    posterior: DensityGrid
+    prior_grid: DensityGrid
+    block: IndexReport
+
+    @property
+    def failures(self) -> dict[str, Exception]:
+        """The exception each failed index raised, by index name."""
+        return self.block.failures
+
+    def require(self, *keys: str) -> dict[str, Any]:
+        """The named index-block values. A value whose index failed
+        re-raises that index's own exception instead."""
+        for name, exc in self.failures.items():
+            if not set(keys).isdisjoint(_INDEX_KEYS[name]):
+                raise exc
+        return {key: self.block.indices[key] for key in keys}
+
+    def bayes_factor(self) -> BayesFactor | None:
+        """The analytic Bayes factor, which tests the zero null only."""
+        if self.config.null_value != 0.0:
+            return None
+        return jzs_bayes_factor(self.stats, self.prior, self.config.alternative)
+
+    def report(self, data: TwoSampleData | None = None) -> IndexReport:
+        """The `analyze` report: the index block plus the analytic Bayes
+        factor and, given the data behind ``stats``, their digest."""
+        bf = self.bayes_factor()
+        return replace(
+            self.block,
+            indices=dict(self.block.indices, bf01_analytic=None if bf is None else bf.bf01),
+            diagnostics=dict(self.block.diagnostics,
+                             bf01_quadrature_rel_error=None if bf is None else bf.rel_error),
+            data=None if data is None else _data_digest(data, self.stats),
+            analytic_bf10=None if bf is None else bf.bf10,
+        )
+
+
+def analyze(stats: SufficientStats, config: AnalysisConfig) -> Analysis:
+    """Build the prior and the posterior and prior grids for ``stats`` and
+    run the index block on them."""
+    prior = CauchyPrior(config.scale)
+    posterior = posterior_density_grid(
+        stats, prior, grid_size=config.grid_size, alternative=config.alternative
+    )
+    prior_grid = prior.on_grid(posterior.points, config.alternative)
+    return Analysis(config, stats, prior, posterior, prior_grid,
+                    run_all_indices(posterior, prior_grid, config))

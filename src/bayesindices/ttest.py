@@ -163,22 +163,6 @@ class CauchyPrior:
             ) from None
 
 
-@dataclass(frozen=True)
-class Hypotheses:
-    """Point null value and the direction of the alternative."""
-
-    null_value: float = 0.0
-    alternative: str = TWO_SIDED
-
-    def __post_init__(self):
-        if not math.isfinite(self.null_value):
-            raise InvalidArgumentError("null value must be finite")
-        if self.alternative not in ALTERNATIVES:
-            raise InvalidArgumentError(
-                f"alternative must be one of {ALTERNATIVES}, got {self.alternative!r}"
-            )
-
-
 class BayesFactor(NamedTuple):
     """bf01 and bf10 with log bf01 and the relative error estimate of the
     predictive density under the alternative."""

@@ -434,6 +434,107 @@ def test_plotdata_outputs(tmp_path, sim_csv):
             "rope_lower", "rope_upper", "s_star_flat", "s_star_prior"} <= names
 
 
+def _annotations(out_dir):
+    rows = (out_dir / "annotations.csv").read_text().splitlines()[2:]
+    return {name: float(value) for name, _, value in (row.split(",") for row in rows)}
+
+
+@pytest.mark.parametrize("flags", [[], ["--alternative", "greater"],
+                                   ["--alternative", "less", "--prior-scale", "0.4"],
+                                   ["--null-value", "0.05", "--prior-preset", "wide"]])
+def test_plotdata_annotations_equal_the_report(tmp_path, sim_csv, capsys, flags):
+    assert main(["analyze", sim_csv, *flags]) == 0
+    indices = json.loads(capsys.readouterr().out)["indices"]
+    out_dir = tmp_path / "plots"
+    assert main(["plotdata", sim_csv, "--out", str(out_dir), *flags]) == 0
+    marks = _annotations(out_dir)
+    for mark, key in (("map", "map_location"), ("hpd_lower", "hpd_lower"),
+                      ("hpd_upper", "hpd_upper"), ("s_star_flat", "s_star_flat"),
+                      ("s_star_prior", "s_star_prior")):
+        assert marks[mark] == indices[key], mark
+
+
+@pytest.mark.parametrize("flags", [[], ["--alternative", "greater"]])
+def test_plotdata_never_evaluates_the_bayes_factor(tmp_path, capsys, flags):
+    # bf10 = exp(814.6) lies outside the double range: the report refuses,
+    # the plot export, which shows no Bayes factor, does not
+    path = _csv_with_t(tmp_path / "d.csv", 2000, 45.0)
+    assert main(["analyze", path, *flags]) == 3
+    assert "numeric failure: FloatRangeError" in capsys.readouterr().err
+    with mock.patch("bayesindices.report.jzs_bayes_factor",
+                    side_effect=AssertionError("Bayes factor evaluated")):
+        assert main(["plotdata", path, "--out", str(tmp_path / "plots"), *flags]) == 0
+    assert _annotations(tmp_path / "plots")["hpd_lower"] > 0
+
+
+def test_underflowing_density_at_a_nonzero_null_is_an_index_failure(tmp_path, capsys):
+    # the posterior density at the null underflows to 0, so bf10 = 1/bf01
+    # fails; the other indices still report
+    path = _csv_with_t(tmp_path / "d.csv", 2000, 45.0)
+    assert main(["analyze", path, "--null-value", "0.01"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["errors"] == {"savage_dickey": "ZeroDivisionError: float division by zero"}
+    assert payload["indices"]["bf01_savage_dickey"] is None
+    assert payload["indices"]["p_map"] == 0.0
+
+
+@pytest.mark.parametrize("n, t, flags, err", [
+    (200, 4.0, ["--prior-scale", "0.001"],
+     "numeric failure: MultimodalHpdError: highest-density region at mass 0.95 splits "
+     "into 2 segments; grid HPD assumes a unimodal density\n"),
+    (50, 2.0, ["--alternative", "less", "--null-value", "0.05"],
+     "numeric failure: OutOfSupportError: null value 0.05 lies outside the grid "
+     "support [-3, 0]\n"),
+])
+def test_plotdata_refuses_with_the_index_error(tmp_path, capsys, n, t, flags, err):
+    path = _csv_with_t(tmp_path / "d.csv", n, t)
+    out_dir = tmp_path / "plots"
+    assert main(["plotdata", path, "--out", str(out_dir), *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert captured.out == ""
+    # the refusal comes before any file is written
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "DATA", "--seed", "7"],
+    ["plotdata", "DATA", "--seed", "7"],
+    ["plotdata", "DATA", "--format", "json"],
+    ["replicate-paper", "--seed", "7"],
+    ["replicate-paper", "--config", "/nonexistent.json"],
+    ["simulate", "--config", "/nonexistent.json"],
+])
+def test_deleted_options_exit_2(tmp_path, sim_csv, capsys, argv):
+    argv = [sim_csv if a == "DATA" else a for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_seed_key_exits_2(tmp_path, sim_csv, capsys):
+    cfg = write(tmp_path / "c.json", json.dumps({"seed": 7}))
+    assert main(["analyze", sim_csv, "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: unknown config key(s): seed\n"
+
+
+def test_report_config_has_no_seed(sim_csv, capsys):
+    assert main(["analyze", sim_csv]) == 0
+    assert "seed" not in json.loads(capsys.readouterr().out)["config"]
+
+
+def test_consecutive_calls_share_the_parser_not_the_flags(sim_csv, capsys):
+    assert cli._parser() is cli._parser()
+    runs = []
+    for flags in ([], ["--alternative", "greater", "--hpd-mass", "0.9"], []):
+        assert main(["analyze", sim_csv, *flags]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[2]
+    first, second = (json.loads(out)["config"] for out in runs[:2])
+    assert (first["alternative"], first["hpd_mass"]) == ("two-sided", 0.95)
+    assert (second["alternative"], second["hpd_mass"]) == ("greater", 0.9)
+
+
 def test_plotdata_reference_annotations(tmp_path):
     # a dataset calibrated near the reference example lands the HPD close
     # to the published bounds

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,14 +8,15 @@ import pytest
 from bayesindices import (
     AnalysisConfig,
     DensityGrid,
-    Hypotheses,
     Rope,
+    SufficientStats,
     Thresholds,
+    analyze,
     derive_verdicts,
     normalize_grid,
     run_all_indices,
 )
-from bayesindices.errors import InvalidArgumentError
+from bayesindices.errors import InvalidArgumentError, MultimodalHpdError
 
 
 def narrow_grid(mu=0.0, sd=1.0):
@@ -58,8 +60,14 @@ def test_config_rope_must_contain_null():
         AnalysisConfig(null_value=0.5, rope=Rope(-0.1, 0.1))
 
 
+def test_config_rejects_unknown_alternative():
+    AnalysisConfig(alternative="two-sided")
+    with pytest.raises(InvalidArgumentError, match="alternative"):
+        AnalysisConfig(alternative="sideways")
+
+
 def test_config_round_trip():
-    cfg = AnalysisConfig(prior_preset="medium", hpd_mass=0.9, seed=4)
+    cfg = AnalysisConfig(prior_preset="medium", hpd_mass=0.9, alternative="less")
     again = AnalysisConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert again == cfg
 
@@ -68,7 +76,7 @@ def test_config_round_trip():
 
 def test_no_data_case_posterior_equals_prior(normal_grid):
     grid = normalize_grid(normal_grid)
-    report = run_all_indices(grid, grid, Hypotheses(0.0), Rope(-0.1, 0.1))
+    report = run_all_indices(grid, grid, AnalysisConfig())
     assert report.indices["bf01_savage_dickey"] == pytest.approx(1.0, abs=1e-12)
     assert report.indices["pd"] == pytest.approx(0.5, abs=1e-3)
     assert report.indices["p_map"] == pytest.approx(1.0, abs=1e-9)
@@ -81,7 +89,7 @@ def test_error_aggregation_keeps_going():
     # the rest still report
     grid = narrow_grid(mu=5.0, sd=0.5)
     prior = DensityGrid(grid.points, np.full(grid.points.size, 0.05))
-    report = run_all_indices(grid, prior, Hypotheses(0.0), Rope(-0.1, 0.1))
+    report = run_all_indices(grid, prior, AnalysisConfig())
     assert "savage_dickey" in report.errors
     assert "p_map" in report.errors
     assert "fbst_flat" in report.errors
@@ -93,18 +101,12 @@ def test_error_aggregation_keeps_going():
     assert report.verdicts["p_map_reject"] is None
 
 
-def test_rope_must_contain_null_value(normal_grid):
-    grid = normalize_grid(normal_grid)
-    with pytest.raises(InvalidArgumentError):
-        run_all_indices(grid, grid, Hypotheses(0.7), Rope(-0.1, 0.1))
-
-
 def test_verdict_coherence(reference):
     thresholds = Thresholds()
     rope = Rope(-0.1, 0.1)
     report = run_all_indices(
-        reference["posterior"], reference["prior_grid"], Hypotheses(0.0), rope,
-        thresholds=thresholds, analytic_bf01=reference["bf01_analytic"],
+        reference["posterior"], reference["prior_grid"],
+        AnalysisConfig(rope=rope, thresholds=thresholds),
     )
     rebuilt = derive_verdicts(report.indices, thresholds, rope)
     assert rebuilt == report.verdicts
@@ -118,10 +120,7 @@ def test_verdict_coherence(reference):
 
 
 def test_run_all_indices_matches_reference_values(reference):
-    report = run_all_indices(
-        reference["posterior"], reference["prior_grid"], Hypotheses(0.0), Rope(-0.1, 0.1),
-        analytic_bf01=reference["bf01_analytic"],
-    )
+    report = run_all_indices(reference["posterior"], reference["prior_grid"], AnalysisConfig())
     ind = report.indices
     assert ind["bf01_savage_dickey"] == pytest.approx(reference["savage_dickey_bf01"], rel=1e-12)
     assert ind["p_map"] == pytest.approx(reference["p_map"], rel=1e-12)
@@ -153,7 +152,7 @@ def test_run_all_indices_finds_map_and_median_once(reference, monkeypatch):
         for module in (indices, report):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
-    run_all_indices(reference["posterior"], reference["prior_grid"], Hypotheses(0.0), Rope())
+    run_all_indices(reference["posterior"], reference["prior_grid"], AnalysisConfig())
     assert calls == {"map_estimate": 1, "grid_quantile": 1}
 
 
@@ -167,9 +166,7 @@ def test_given_map_and_median_give_identical_indices(reference):
 
 
 def test_report_serializes_to_json(reference):
-    report = run_all_indices(
-        reference["posterior"], reference["prior_grid"], Hypotheses(0.0), Rope(-0.1, 0.1)
-    )
+    report = run_all_indices(reference["posterior"], reference["prior_grid"], AnalysisConfig())
     payload = json.loads(report.to_json())
     assert set(payload) == {"config", "data", "indices", "verdicts",
                             "diagnostics", "errors", "versions"}
@@ -178,18 +175,58 @@ def test_report_serializes_to_json(reference):
 
 
 def test_report_text_renders(reference):
-    report = run_all_indices(
-        reference["posterior"], reference["prior_grid"], Hypotheses(0.0), Rope(-0.1, 0.1)
-    )
+    report = run_all_indices(reference["posterior"], reference["prior_grid"], AnalysisConfig())
     text = report.to_text()
     assert "Bayes factor" in text
     assert "ev_against" in text
 
 
 def test_report_text_uses_the_given_bf10(reference):
-    report = run_all_indices(
-        reference["posterior"], reference["prior_grid"], Hypotheses(0.0), Rope(-0.1, 0.1),
-        analytic_bf01=0.5, analytic_bf10=2.5,
-    )
+    report = run_all_indices(reference["posterior"], reference["prior_grid"], AnalysisConfig())
+    report = replace(report, indices=dict(report.indices, bf01_analytic=0.5), analytic_bf10=2.5)
     assert "bf01 = 0.5000 (predictive ratio), bf10 = 2.5000" in report.to_text()
     assert "analytic_bf10" not in report.to_json()
+
+
+# ---------------------------------------------------------------- analyze
+
+def test_config_block_is_the_config_echo(reference):
+    config = AnalysisConfig(prior_preset="medium", rope=Rope(-0.2, 0.3), hpd_mass=0.9)
+    report = run_all_indices(reference["posterior"], reference["prior_grid"], config)
+    assert report.config == config.echo()
+
+
+def test_analyze_is_the_index_block_on_its_own_grids(reference):
+    analysis = analyze(reference["stats"], AnalysisConfig())
+    assert np.array_equal(analysis.posterior.densities, reference["posterior"].densities)
+    assert np.array_equal(analysis.prior_grid.densities, reference["prior_grid"].densities)
+    block = run_all_indices(analysis.posterior, analysis.prior_grid, analysis.config)
+    assert analysis.block.to_dict() == block.to_dict()
+    # the analytic Bayes factor is added by the report view only
+    assert analysis.block.indices["bf01_analytic"] is None
+    report = analysis.report()
+    assert report.indices["bf01_analytic"] == reference["bf01_analytic"]
+    assert list(report.indices) == list(block.indices)
+    assert "bf01_quadrature_rel_error" in report.diagnostics
+
+
+def test_report_view_skips_the_bayes_factor_for_a_nonzero_null(reference):
+    analysis = analyze(reference["stats"], AnalysisConfig(null_value=0.05))
+    assert analysis.bayes_factor() is None
+    report = analysis.report()
+    assert report.indices["bf01_analytic"] is None
+    assert report.diagnostics["bf01_quadrature_rel_error"] is None
+
+
+def test_require_reraises_the_failed_index():
+    # n = 200 per group, t = 4, prior scale 1e-3: a prior spike at 0 and a
+    # likelihood bump near 0.34 make the 95% HPD region two segments
+    stats = SufficientStats(t=4.0, df=398, n_eff=100.0, n1=200, n2=200)
+    analysis = analyze(stats, AnalysisConfig(prior_scale=1e-3))
+    failure = analysis.failures["rope"]
+    assert isinstance(failure, MultimodalHpdError)
+    assert analysis.report().errors["rope"] == f"MultimodalHpdError: {failure}"
+    with pytest.raises(MultimodalHpdError) as caught:
+        analysis.require("map_location", "hpd_upper")
+    assert caught.value is failure
+    assert analysis.require("pd", "s_star_flat")["pd"] == analysis.block.indices["pd"]

@@ -8,7 +8,6 @@ from scipy import stats as sps
 
 from bayesindices import (
     CauchyPrior,
-    Hypotheses,
     SufficientStats,
     TwoSampleData,
     central_t_pdf,
@@ -71,12 +70,6 @@ def test_cauchy_prior():
         CauchyPrior.from_preset("narrow")
     assert CauchyPrior.from_preset("medium").scale == pytest.approx(math.sqrt(2) / 2)
     assert CauchyPrior.from_preset("ultrawide").scale == pytest.approx(math.sqrt(2))
-
-
-def test_hypotheses_validation():
-    Hypotheses(0.0, "two-sided")
-    with pytest.raises(InvalidArgumentError):
-        Hypotheses(0.0, "sideways")
 
 
 # ---------------------------------------------------------------- cohen's d
