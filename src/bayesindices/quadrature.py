@@ -1,18 +1,19 @@
 """Quadrature routines used by the model layer.
 
-Two schemes live here:
+Both schemes are Gauss-Legendre rules on log-space integrands:
 
-- an adaptive Gauss-Kronrod (G7/K15) integrator for one-off integrals on a
-  finite interval, with panel bisection driven by the Gauss/Kronrod
-  discrepancy, and
-- a node-doubling Gauss-Legendre integrator for batches of log-space
-  integrands sharing one functional form, which is what the noncentral-t
+- a fixed rule over consecutive panels (`log_gauss_legendre`), which every
+  Bayes factor uses: the caller places the panel edges where its integrand
+  changes, and the half rule on the same panels gives the error, and
+- a node-doubling integrator for batches of integrands sharing one
+  functional form (`batched_log_integral`), which is what the noncentral-t
   evaluation needs when it runs over a whole parameter grid at once.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
+import sys
 from functools import lru_cache
 from typing import Callable
 
@@ -20,113 +21,48 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-# G7/K15 nodes on [-1, 1]. The first seven nodes carry both Gauss and
-# Kronrod weights; the remaining eight are Kronrod-only.
-_GK_NODES = np.array([
-    0.000000000000000,
-    +0.405845151377397, -0.405845151377397,
-    +0.741531185599394, -0.741531185599394,
-    +0.949107912342759, -0.949107912342759,
-    +0.207784955007898, -0.207784955007898,
-    +0.586087235467691, -0.586087235467691,
-    +0.864864423359769, -0.864864423359769,
-    +0.991455371120813, -0.991455371120813,
-])
-
-_G7_WEIGHTS = np.array([
-    0.417959183673469,
-    0.381830050505119, 0.381830050505119,
-    0.279705391489277, 0.279705391489277,
-    0.129484966168870, 0.129484966168870,
-    0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-])
-
-_K15_WEIGHTS = np.array([
-    0.209482141084728,
-    0.190350578064785, 0.190350578064785,
-    0.140653259715525, 0.140653259715525,
-    0.063092092629979, 0.063092092629979,
-    0.204432940075298, 0.204432940075298,
-    0.169004726639267, 0.169004726639267,
-    0.104790010322250, 0.104790010322250,
-    0.022935322010529, 0.022935322010529,
-])
-
-
-def _gk_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
-    """One G7/K15 evaluation on [a, b]: returns (K15 value, error estimate).
-
-    The error estimate is the QUADPACK style roughness-scaled inflation of
-    |K15 - G7|; the plain difference alone underestimates the truth when
-    both rules happen to agree on an under-resolved panel.
-    """
-    half = 0.5 * (b - a)
-    nodes = 0.5 * (a + b) + half * _GK_NODES
-    fv = np.asarray(f(nodes), dtype=float)
-    k15 = half * float(fv @ _K15_WEIGHTS)
-    g7 = half * float(fv @ _G7_WEIGHTS)
-    resabs = half * float(np.abs(fv) @ _K15_WEIGHTS)
-    mean = k15 / (b - a)
-    resasc = half * float(np.abs(fv - mean) @ _K15_WEIGHTS)
-    discrepancy = abs(k15 - g7)
-    if resasc > 0.0 and discrepancy > 0.0:
-        err = resasc * min(1.0, (200.0 * discrepancy / resasc) ** 1.5)
-    else:
-        err = discrepancy
-    return k15, max(err, 50.0 * np.finfo(float).eps * resabs)
-
-
-def adaptive_gauss_kronrod(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    *,
-    rel_tol: float = 1e-6,
-    abs_tol: float = 0.0,
-    max_panels: int = 10_000,
-    initial_subdivisions: int = 8,
-) -> tuple[float, float]:
-    """Integrate ``f`` over [a, b], bisecting the worst panel until the
-    summed Gauss/Kronrod discrepancy meets ``max(rel_tol * |I|, abs_tol)``.
-
-    ``f`` must accept a numpy array of abscissae. Returns (value, error
-    estimate). Raises ConvergenceError when the panel cap is hit first.
-    """
-    if not b > a:
-        raise ConvergenceError(f"empty or inverted integration interval [{a}, {b}]")
-    edges = np.linspace(a, b, initial_subdivisions + 1)
-    heap: list[tuple[float, float, float, float]] = []
-    total = 0.0
-    total_err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _gk_panel(f, lo, hi)
-        heap.append((-err, lo, hi, val))
-        total += val
-        total_err += err
-    heapq.heapify(heap)
-    while total_err > max(rel_tol * abs(total), abs_tol):
-        if len(heap) >= max_panels:
-            raise ConvergenceError(
-                f"adaptive quadrature did not reach tolerance {rel_tol:g} "
-                f"within {max_panels} panels (error estimate {total_err:g})"
-            )
-        neg_err, lo, hi, val = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        left_val, left_err = _gk_panel(f, lo, mid)
-        right_val, right_err = _gk_panel(f, mid, hi)
-        heapq.heappush(heap, (-left_err, lo, mid, left_val))
-        heapq.heappush(heap, (-right_err, mid, hi, right_val))
-        total += left_val + right_val - val
-        total_err += left_err + right_err + neg_err
-    # exact re-sum avoids the drift of incremental updates
-    return sum(p[3] for p in heap), sum(-p[0] for p in heap)
-
 
 @lru_cache(maxsize=16)
 def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Cached Gauss-Legendre nodes and weights on [-1, 1]."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
     return nodes, weights
+
+
+def log_gauss_legendre(
+    log_f: Callable[[np.ndarray], np.ndarray],
+    edges,
+    n: int,
+    *,
+    log_scale: float = 0.0,
+) -> tuple[float, float]:
+    """log of exp(log_scale) times the integral of exp(log_f) over
+    [edges[0], edges[-1]], with its relative error estimate.
+
+    Each panel between consecutive edges gets an n-node Gauss-Legendre rule;
+    the n/2-node rule on the same panels gives the error, floored at the
+    rounding of the sum. ``log_f`` is called once, on a (panels, n + n/2)
+    matrix holding the abscissae of both rules, and -inf maps to an
+    integrand of zero. Each rule's sum is shifted by its largest term, so
+    the integrand may lie far outside the double range as long as its log
+    does not. The value is -inf when the integrand is zero at every node.
+    """
+    edges = np.asarray(edges, dtype=float)
+    u_fine, w_fine = gauss_legendre_nodes(n)
+    u_coarse, w_coarse = gauss_legendre_nodes(n // 2)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    values = log_f(mid[:, None] + half[:, None] * np.concatenate((u_fine, u_coarse)))
+
+    def log_sum(v: np.ndarray, w: np.ndarray) -> float:
+        peak = float(v.max())
+        if peak == -math.inf:
+            return peak
+        return peak + math.log(float(half @ (np.exp(v - peak) @ w))) + log_scale
+
+    value = log_sum(values[:, :n], w_fine)
+    coarse = log_sum(values[:, n:], w_coarse)
+    return value, max(abs(math.expm1(coarse - value)), half.size * n * sys.float_info.epsilon)
 
 
 def batched_log_integral(

@@ -36,6 +36,8 @@ from .indices import (
 from .posterior import DensityGrid, ReferenceFunction, grid_mean, map_estimate
 from .ttest import (
     ALTERNATIVES,
+    GREATER,
+    LESS,
     PRIOR_PRESETS,
     TWO_SIDED,
     BayesFactor,
@@ -96,6 +98,12 @@ class AnalysisConfig:
             raise InvalidArgumentError("null_value must be finite")
         if not self.rope.contains(self.null_value):
             raise InvalidArgumentError("ROPE must contain the null value")
+        if (self.alternative == GREATER and self.null_value < 0.0
+                or self.alternative == LESS and self.null_value > 0.0):
+            raise InvalidArgumentError(
+                f"null value {self.null_value:g} lies outside the {self.alternative} "
+                "alternative's half-line"
+            )
 
     @property
     def scale(self) -> float:

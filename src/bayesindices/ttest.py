@@ -11,6 +11,8 @@ delta to one-dimensional numerics:
 
 Two-sided Bayes factors use the equivalent g-mixture form of the Cauchy
 prior (Rouder et al. 2009), which needs no inner noncentral-t quadrature.
+One-sided ones integrate the noncentral-t form over the half-line prior.
+Both are fixed Gauss-Legendre rules in log space, and both return log bf01.
 """
 
 from __future__ import annotations
@@ -57,6 +59,11 @@ _GM_BELOW = 5.0
 _GM_ABOVE = 45.0
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+# one-sided Bayes factor: panel edges around the likelihood peak, in
+# standard errors, and Gauss-Legendre nodes per panel
+_H1_REACH = np.array([0.5, 2.0, 5.0, 10.0, 20.0, 40.0])
+_H1_NODES = 32
+_LOG_2_OVER_PI = math.log(2.0 / math.pi)
 # noncentral t: a point whose peak log density lies below this is exactly 0
 _LOG_DEAD = -800.0
 # shared-x kernel (`_shared_x_kernel`): trapezoid spacing in widths of the
@@ -207,15 +214,20 @@ def sufficient_stats(data: TwoSampleData) -> SufficientStats:
     return SufficientStats(t=float(t), df=df, n_eff=float(n_eff), n1=n1, n2=n2)
 
 
-def central_t_pdf(x, df: float):
-    """Student-t density, evaluated in log space for stability."""
+def _log_central_t_pdf(x, df: float):
+    """log of the Student-t density."""
     x = np.asarray(x, dtype=float)
     log_norm = (
         math.lgamma((df + 1.0) / 2.0)
         - math.lgamma(df / 2.0)
         - 0.5 * math.log(df * math.pi)
     )
-    out = np.exp(log_norm - ((df + 1.0) / 2.0) * np.log1p(x * x / df))
+    return log_norm - ((df + 1.0) / 2.0) * np.log1p(x * x / df)
+
+
+def central_t_pdf(x, df: float):
+    """Student-t density, evaluated in log space for stability."""
+    out = np.exp(_log_central_t_pdf(x, df))
     return float(out) if out.ndim == 0 else out
 
 
@@ -517,6 +529,14 @@ def _shared_x_kernel(
     return out, done
 
 
+def _effect_location(stats: SufficientStats) -> tuple[float, float]:
+    """The likelihood peak d = t / sqrt(n_eff) of the effect size and its
+    standard error. The likelihood spreads beyond 1/sqrt(n_eff) when the
+    effect is large: scale estimation adds d^2/(2 df) to the variance."""
+    d = stats.t / math.sqrt(stats.n_eff)
+    return d, math.sqrt(1.0 / stats.n_eff + d * d / (2.0 * stats.df))
+
+
 def _g_mixture_log_bf10(stats: SufficientStats, prior: CauchyPrior) -> tuple[float, float]:
     """Two-sided log bf10 and its relative error, from one pass.
 
@@ -537,56 +557,52 @@ def _g_mixture_log_bf10(stats: SufficientStats, prior: CauchyPrior) -> tuple[flo
     t2_df = stats.t * stats.t / df
     log_ns2 = math.log(stats.n_eff) + 2.0 * math.log(prior.scale)
     knee = math.log(max(stats.t * stats.t, 1.0)) - log_ns2
-    lo = -_GM_BELOW
-    hi = max(knee, 0.0) + _GM_ABOVE
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     log_m0_ratio = math.log1p(t2_df)
 
-    def log_integral(n: int) -> float:
-        u, w = quadrature.gauss_legendre_nodes(n)
-        x = mid + half * u
+    def log_f(x: np.ndarray) -> np.ndarray:
         log_a = np.logaddexp(0.0, x + log_ns2)
-        log_f = (
+        return (
             -0.5 * (x + np.exp(-x) + log_a)
             - 0.5 * (df + 1.0) * (np.log1p(t2_df * np.exp(-log_a)) - log_m0_ratio)
         )
-        peak = float(log_f.max())
-        return peak + math.log(half * float(w @ np.exp(log_f - peak))) - _HALF_LOG_2PI
 
-    value = log_integral(_GM_NODES)
-    coarse = log_integral(_GM_NODES // 2)
-    # the rules' disagreement, floored at the rounding of a 256-term sum
-    return value, max(abs(math.expm1(coarse - value)), _GM_NODES * sys.float_info.epsilon)
+    edges = (-_GM_BELOW, max(knee, 0.0) + _GM_ABOVE)
+    return quadrature.log_gauss_legendre(log_f, edges, _GM_NODES, log_scale=-_HALF_LOG_2PI)
 
 
 def _marginal_likelihood_h1(
-    stats: SufficientStats,
-    prior: CauchyPrior,
-    alternative: str,
-    *,
-    rel_tol: float = 1e-6,
-    max_panels: int = 10_000,
+    stats: SufficientStats, prior: CauchyPrior, alternative: str
 ) -> tuple[float, float]:
-    """Predictive density of the observed t under a one-sided alternative:
-    integral of nct_pdf(t; df, delta*sqrt(n_eff)) * half-line prior(delta)
-    d delta, with its absolute error estimate.
+    """log predictive density of the observed t under a one-sided
+    alternative, log m1, with its relative error estimate. For `greater`,
 
-    The substitution delta = scale * tan(u) turns the Cauchy weight into a
-    constant, leaving a bounded integrand on the half of (-pi/2, pi/2) the
-    alternative retains; the half-line prior doubles the Cauchy density.
+        m1 = integral_0^inf nct_pdf(t; df, delta sqrt(n_eff)) 2 cauchy(delta; scale) d delta,
+
+    and `less` is the same integral at -t, as nct_pdf(t; df, ncp) equals
+    nct_pdf(-t; df, -ncp). The substitution delta = scale tan(u) turns the
+    half-line prior into the constant 2/pi on (0, pi/2). Panels in u end at
+    the likelihood peak d, at d -+ `_H1_REACH` standard errors and at the
+    half-decades between the standard error and the prior scale, wherever
+    these lie inside the half. Each panel gets `_H1_NODES` nodes, and the
+    nodes of both rules go to one noncentral-t call.
     """
+    d, se = _effect_location(stats)
+    t = stats.t
+    if alternative == LESS:
+        d, t = -d, -t
     root_n = math.sqrt(stats.n_eff)
-    g = prior.scale
+    lo, hi = sorted((se, prior.scale))
+    decades = 10.0 ** (np.arange(math.ceil(2.0 * math.log10(lo)),
+                                 math.floor(2.0 * math.log10(hi)) + 1) / 2.0)
+    deltas = np.concatenate(([d], d - se * _H1_REACH, d + se * _H1_REACH, decades))
+    inside = np.arctan(deltas[deltas > 0.0] / prior.scale)
+    edges = np.unique(np.concatenate(([0.0], inside, [0.5 * math.pi])))
 
-    def integrand(u: np.ndarray) -> np.ndarray:
-        delta = g * np.tan(u)
-        return noncentral_t_pdf(stats.t, stats.df, delta * root_n) / math.pi
+    def log_f(u: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(noncentral_t_pdf(t, stats.df, prior.scale * np.tan(u) * root_n))
 
-    lo, hi = (0.0, math.pi / 2) if alternative == GREATER else (-math.pi / 2, 0.0)
-    value, err = quadrature.adaptive_gauss_kronrod(
-        integrand, lo, hi, rel_tol=rel_tol, max_panels=max_panels
-    )
-    return 2.0 * value, 2.0 * err
+    return quadrature.log_gauss_legendre(log_f, edges, _H1_NODES, log_scale=_LOG_2_OVER_PI)
 
 
 def jzs_bayes_factor(
@@ -597,27 +613,28 @@ def jzs_bayes_factor(
     """Bayes factor for the point null against the Cauchy-prior alternative,
     as the ratio of predictive densities of the observed t statistic.
 
-    Two-sided tests integrate the g-mixture form in log space; one-sided
-    tests integrate the noncentral-t form over the half-line prior. Either
-    way one quadrature pass gives the value and its error estimate. Raises
-    FloatRangeError when bf01 or bf10 is not a normal double.
+    Two-sided tests integrate the g-mixture form; one-sided tests integrate
+    the noncentral-t form over the half-line prior and divide by the
+    central-t density. Both integrals are fixed Gauss-Legendre rules in log
+    space (`quadrature.log_gauss_legendre`), whose half rule gives the error
+    estimate. Raises FloatRangeError when bf01 or bf10 is not a double, and
+    when the predictive density under the alternative underflows.
     """
     if alternative not in ALTERNATIVES:
         raise InvalidArgumentError(f"alternative must be one of {ALTERNATIVES}")
     if alternative == TWO_SIDED:
         log_bf10, rel_error = _g_mixture_log_bf10(stats, prior)
-        if not abs(log_bf10) < _LOG_DOUBLE_MAX:
-            raise FloatRangeError(
-                f"bf10 = exp({log_bf10:.6g}) is outside the double-precision range"
-            )
-        return BayesFactor(math.exp(-log_bf10), math.exp(log_bf10), -log_bf10, rel_error)
-    m1, err = map(float, _marginal_likelihood_h1(stats, prior, alternative))
-    bf01 = float(central_t_pdf(stats.t, stats.df)) / m1 if m1 > 0.0 else math.inf
-    if not 1.0 / sys.float_info.max < bf01 < sys.float_info.max:
+        log_bf01 = -log_bf10
+    else:
+        log_m1, rel_error = _marginal_likelihood_h1(stats, prior, alternative)
+        log_bf01 = float(_log_central_t_pdf(stats.t, stats.df)) - log_m1
+        if log_m1 == -math.inf:
+            raise FloatRangeError(f"the {alternative} predictive density of t underflows")
+    if not abs(log_bf01) < _LOG_DOUBLE_MAX:
         raise FloatRangeError(
-            f"{alternative} bf01 = {bf01!r} is outside the double-precision range"
+            f"bf10 = exp({-log_bf01:.6g}) is outside the double-precision range"
         )
-    return BayesFactor(bf01, 1.0 / bf01, math.log(bf01), err / m1)
+    return BayesFactor(math.exp(log_bf01), math.exp(-log_bf01), log_bf01, rel_error)
 
 
 def posterior_density_grid(
@@ -639,10 +656,7 @@ def posterior_density_grid(
         raise InvalidArgumentError(f"alternative must be one of {ALTERNATIVES}")
     if grid_size < 64:
         raise InvalidArgumentError("grid_size must be at least 64")
-    d = stats.t / math.sqrt(stats.n_eff)
-    # the effect-size likelihood spreads beyond 1/sqrt(n_eff) when the
-    # effect is large (scale estimation adds d^2/(2 df) to the variance)
-    se = math.sqrt(1.0 / stats.n_eff + d * d / (2.0 * stats.df))
+    d, se = _effect_location(stats)
     auto = grid_lo is None and grid_hi is None
     if auto:
         lo = min(-DEFAULT_GRID_BOUND, -2.0, d - 6.0 * se)

@@ -93,11 +93,13 @@ def test_criterion_4_cross_method_bf_agreement():
         n = int(rng.integers(10, 201))
         prior = CauchyPrior(float(rng.choice(scales)))
         stats = _stats(t, n)
-        posterior = posterior_density_grid(stats, prior, grid_size=4096)
-        prior_grid = prior.on_grid(posterior.points)
-        sd = savage_dickey_bf(posterior, prior_grid, 0.0)
-        analytic = jzs_bayes_factor(stats, prior).bf01
-        assert abs(sd - analytic) / analytic <= 0.01, (t, n, prior.scale)
+        for alternative in ("two-sided", "greater", "less"):
+            posterior = posterior_density_grid(stats, prior, grid_size=4096,
+                                               alternative=alternative)
+            prior_grid = prior.on_grid(posterior.points, alternative)
+            sd = savage_dickey_bf(posterior, prior_grid, 0.0)
+            analytic = jzs_bayes_factor(stats, prior, alternative).bf01
+            assert abs(sd - analytic) / analytic <= 0.01, (t, n, prior.scale, alternative)
 
 
 @criterion(5, "e-value matches the level-set complement; sample HPD matches the exhaustive scan")

@@ -292,6 +292,22 @@ def _csv_with_t(path, n, t, seed=0):
     return write(path, "group,value\n" + "\n".join(rows) + "\n")
 
 
+@pytest.mark.parametrize("alternative, log_bf01", [
+    ("greater", -430.69488474181657),
+    ("less", 13.794293939892945),
+])
+def test_analyze_one_sided_bf_at_t30_with_a_wide_prior(tmp_path, capsys, alternative, log_bf01):
+    # n = 1e4 per group, t = 30, scale 300: the likelihood peak is ~1e-6 of
+    # the prior's width. log bf01 values from a skew-t g-mixture oracle
+    # (tests/test_ttest.py)
+    path = _csv_with_t(tmp_path / "d.csv", 10_000, 30.0)
+    assert main(["analyze", path, "--alternative", alternative, "--prior-scale", "300"]) == 0
+    indices = json.loads(capsys.readouterr().out)["indices"]
+    assert np.log(indices["bf01_analytic"]) == pytest.approx(log_bf01, abs=1e-6)
+    if alternative == "greater":
+        assert indices["bf01_savage_dickey"] == pytest.approx(indices["bf01_analytic"], rel=1e-6)
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_analyze_bf_beyond_double_range_exits_3(tmp_path, fmt, capsys):
     # log bf10 is about 1290: bf01 underflows and bf10 overflows a double
@@ -482,9 +498,6 @@ def test_underflowing_density_at_a_nonzero_null_is_an_index_failure(tmp_path, ca
     (200, 4.0, ["--prior-scale", "0.001"],
      "numeric failure: MultimodalHpdError: highest-density region at mass 0.95 splits "
      "into 2 segments; grid HPD assumes a unimodal density\n"),
-    (50, 2.0, ["--alternative", "less", "--null-value", "0.05"],
-     "numeric failure: OutOfSupportError: null value 0.05 lies outside the grid "
-     "support [-3, 0]\n"),
 ])
 def test_plotdata_refuses_with_the_index_error(tmp_path, capsys, n, t, flags, err):
     path = _csv_with_t(tmp_path / "d.csv", n, t)
@@ -495,6 +508,25 @@ def test_plotdata_refuses_with_the_index_error(tmp_path, capsys, n, t, flags, er
     assert captured.out == ""
     # the refusal comes before any file is written
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "plotdata"])
+@pytest.mark.parametrize("alternative, null, rope", [
+    ("less", "0.05", ["-0.05", "0.15"]),
+    ("greater", "-0.05", ["-0.15", "0.05"]),
+])
+def test_null_outside_the_one_sided_half_line_exits_2(tmp_path, capsys, command,
+                                                       alternative, null, rope):
+    # the half-line prior is zero there: no index at that null is defined
+    path = _csv_with_t(tmp_path / "d.csv", 50, 2.0)
+    out = tmp_path / "out"
+    assert main([command, path, "--alternative", alternative, "--null-value", null,
+                 "--rope", *rope, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: null value {null} lies outside the {alternative} "
+                            "alternative's half-line\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

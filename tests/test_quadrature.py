@@ -1,41 +1,42 @@
+import math
+import sys
+
 import numpy as np
 import pytest
-from scipy import integrate
 
 from bayesindices.errors import ConvergenceError
-from bayesindices.quadrature import adaptive_gauss_kronrod, batched_log_integral
+from bayesindices.quadrature import batched_log_integral, log_gauss_legendre
 
 
 def test_polynomial_exact():
-    # K15 integrates low-degree polynomials exactly
-    val, err = adaptive_gauss_kronrod(lambda x: 3 * x**2, 0.0, 2.0)
-    assert val == pytest.approx(8.0, abs=1e-12)
+    # on every panel the 4-node rule integrates degree 7 exactly and the
+    # 2-node rule degree 3, so both agree with the exact integral
+    calls = []
+
+    def log_f(x):
+        calls.append(x.shape)
+        return np.log(3.0 * x**2 + 1.0)
+
+    value, err = log_gauss_legendre(log_f, [0.0, 0.3, 1.1, 2.0], 4)
+    assert value == pytest.approx(math.log(10.0), abs=1e-15)
+    assert err == 3 * 4 * sys.float_info.epsilon
+    # one call on all nodes of both rules
+    assert calls == [(3, 6)]
 
 
-def test_gaussian_against_scipy():
-    f = lambda x: np.exp(-0.5 * x * x)
-    val, _ = adaptive_gauss_kronrod(f, -10.0, 10.0, rel_tol=1e-12)
-    ref, _ = integrate.quad(lambda x: float(np.exp(-0.5 * x * x)), -10, 10, epsabs=0, epsrel=1e-13)
-    assert val == pytest.approx(ref, rel=1e-12)
+def test_log_gauss_legendre_gaussian_closed_form():
+    # the integrand lies far beyond the double range; only its log is used
+    edges = np.array([-12.0, -1.0, 0.5, 12.0])
+    value, err = log_gauss_legendre(lambda x: 2000.0 - 0.5 * x * x, edges, 32,
+                                    log_scale=-0.5 * math.log(2.0 * math.pi))
+    assert value == pytest.approx(2000.0, abs=1e-13)
+    # the estimate is the 16-node rule's error, an upper bound here
+    assert 1e-13 < err < 1e-7
 
 
-def test_sharp_peak_needs_adaptivity():
-    # narrow bump far from panel edges; uniform panels alone would miss it
-    f = lambda x: np.exp(-((x - 0.123456) / 1e-4) ** 2)
-    val, _ = adaptive_gauss_kronrod(f, 0.0, 1.0, rel_tol=1e-9, initial_subdivisions=4)
-    assert val == pytest.approx(1e-4 * np.sqrt(np.pi), rel=1e-8)
-
-
-def test_panel_cap_raises():
-    rng = np.random.default_rng(0)
-    noisy = lambda x: rng.standard_normal(x.shape)
-    with pytest.raises(ConvergenceError):
-        adaptive_gauss_kronrod(noisy, 0.0, 1.0, rel_tol=1e-12, max_panels=32)
-
-
-def test_inverted_interval_raises():
-    with pytest.raises(ConvergenceError):
-        adaptive_gauss_kronrod(lambda x: x, 1.0, 0.0)
+def test_log_gauss_legendre_zero_integrand():
+    value, _ = log_gauss_legendre(lambda x: np.full(x.shape, -np.inf), [0.0, 1.0], 8)
+    assert value == -math.inf
 
 
 def test_batched_log_integral_gaussians():

@@ -411,6 +411,90 @@ def test_bf_one_sided_matches_scipy_oracle():
     assert mine == pytest.approx(sps.t.pdf(2.0, 98) / m1, rel=1e-8)
 
 
+def _oracle_one_sided_log_bf01(t, n1, n2, scale, alternative):
+    """log bf01 of a one-sided test from scipy.quad over x = log g.
+
+    Given g, delta ~ N(0, g scale^2), and a half-normal effect makes t a
+    scaled skew-t: with lam^2 = n_eff g scale^2, A = 1 + lam^2 and
+    z = lam t sqrt((df + 1) / (A df + t^2)), the one-sided bf10 integrand is
+    the two-sided g-mixture one times 2 T_{df+1}(z) (`greater`) or
+    2 T_{df+1}(-z) (`less`). A scan finds the integrand's peak; quad covers
+    the range where it lies within e^-60 of it."""
+    from scipy import integrate, special
+    df, n_eff = n1 + n2 - 2, n1 * n2 / (n1 + n2)
+    sign = 1.0 if alternative == "greater" else -1.0
+
+    def log_f(x):
+        with np.errstate(over="ignore", divide="ignore"):
+            x = np.asarray(x, dtype=float)
+            lam2 = n_eff * scale * scale * np.exp(x)
+            a = 1.0 + lam2
+            log_lik_ratio = -0.5 * np.log(a) - 0.5 * (df + 1) * (
+                np.log1p(t * t / (a * df)) - math.log1p(t * t / df))
+            z = sign * np.sqrt(lam2) * t * np.sqrt((df + 1) / (a * df + t * t))
+            # special.stdtr is the Student-t cdf that scipy.stats.t.cdf evaluates
+            return (-0.5 * x - 0.5 * np.exp(-x) + log_lik_ratio - 0.5 * math.log(2 * math.pi)
+                    + math.log(2.0) + np.log(special.stdtr(df + 1, z)))
+
+    xs = np.linspace(-150.0, 150.0, 3001)
+    scan = log_f(xs)
+    k = int(np.argmax(scan))
+    peak = float(scan[k])
+    live = xs[scan > peak - 60.0]
+    total, _ = integrate.quad(lambda x: math.exp(float(log_f(x)) - peak),
+                              live.min() - 0.1, live.max() + 0.1, points=[xs[k]],
+                              epsabs=0, epsrel=1e-13, limit=500)
+    return -(peak + math.log(total))
+
+
+# one-sided design grid: balanced and unbalanced groups from 2 to 1e5, prior
+# scales 1e-3 to 1e3, and t up to 30 on either side of zero
+ONE_SIDED_DESIGNS = [(2, 2), (5, 5), (3, 34), (30, 30), (400, 400), (151, 22_532),
+                     (10_000, 10_000), (72_985, 48_985), (100_000, 100_000)]
+ONE_SIDED_SCALES = (1e-3, 0.05, 0.707, 20.0, 300.0, 1000.0)
+ONE_SIDED_TS = (0.0, 0.76, 2.5, -6.0, 10.0, 30.0)
+
+
+def _design_stats(n1, n2, t):
+    return SufficientStats(t=t, df=n1 + n2 - 2, n_eff=n1 * n2 / (n1 + n2), n1=n1, n2=n2)
+
+
+@pytest.mark.parametrize("n1, n2", ONE_SIDED_DESIGNS)
+def test_bf_one_sided_matches_skew_t_oracle(n1, n2):
+    # covers t = 30 and scale x sqrt(n_eff) up to 2e5, where the panel
+    # placement has to find a likelihood peak far narrower than the prior
+    for scale in ONE_SIDED_SCALES:
+        for t in ONE_SIDED_TS:
+            st = _design_stats(n1, n2, t)
+            for alternative in ("greater", "less"):
+                bf = jzs_bayes_factor(st, CauchyPrior(scale), alternative)
+                oracle = _oracle_one_sided_log_bf01(t, n1, n2, scale, alternative)
+                assert bf.log_bf01 == pytest.approx(oracle, abs=1e-9), (scale, t, alternative)
+
+
+@pytest.mark.parametrize("n1, n2", ONE_SIDED_DESIGNS)
+def test_bf_one_sided_reflection_and_two_sided_identity(n1, n2):
+    # `less` at t is `greater` at -t, and the two-sided predictive density
+    # averages the two one-sided ones (Morey & Wagenmakers 2014)
+    for scale in ONE_SIDED_SCALES:
+        prior = CauchyPrior(scale)
+        for t in ONE_SIDED_TS:
+            st = _design_stats(n1, n2, t)
+            greater = jzs_bayes_factor(st, prior, "greater")
+            less = jzs_bayes_factor(st, prior, "less")
+            assert jzs_bayes_factor(_design_stats(n1, n2, -t), prior, "less") == greater
+            log_bf10 = np.logaddexp(-greater.log_bf01, -less.log_bf01) - math.log(2.0)
+            two = jzs_bayes_factor(st, prior)
+            assert log_bf10 == pytest.approx(-two.log_bf01, abs=1e-9), (scale, t)
+
+
+def test_bf_one_sided_underflow_raises_named_error():
+    # every noncentral-t density at t = -45 and a positive effect underflows
+    st = _design_stats(10_000, 10_000, -45.0)
+    with pytest.raises(FloatRangeError, match="greater predictive density of t underflows"):
+        jzs_bayes_factor(st, CauchyPrior(0.707), "greater")
+
+
 def _oracle_two_sided_bf01(t, n1, n2, scale):
     """bf01 from scipy.quad over x = log g of the Zellner-Siow g-mixture
     (Rouder et al. 2009), split at the prior peak and the likelihood knee."""
