@@ -27,8 +27,6 @@ from .errors import (
     InputError,
     InvalidArgumentError,
 )
-from .indices import surprise_function
-from .posterior import ReferenceFunction
 from .report import AnalysisConfig, analyze
 from .replicate import run_replication
 from .ttest import (
@@ -262,9 +260,7 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     marks = analysis.require("map_location", "hpd_lower", "hpd_upper",
                              "s_star_flat", "s_star_prior")
     posterior, prior_grid = analysis.posterior, analysis.prior_grid
-
-    flat_surprise = surprise_function(posterior, ReferenceFunction.flat())
-    prior_surprise = surprise_function(posterior, ReferenceFunction.from_prior(prior_grid))
+    flat_surprise, prior_surprise = analysis.surprise["fbst_flat"], analysis.surprise["fbst_prior"]
     out_dir = Path(args.out or "plotdata")
     out_dir.mkdir(parents=True, exist_ok=True)
 

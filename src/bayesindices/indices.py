@@ -7,7 +7,7 @@ mutates its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -112,12 +112,15 @@ class BfCategory(NamedTuple):
 
 @dataclass(frozen=True)
 class FbstResult:
-    """Evidence summary of the significance test built on posterior surprise."""
+    """Evidence summary of the significance test built on posterior surprise,
+    with the surprise curve it was read from (`surprise_function`, on the
+    posterior grid)."""
 
     ev_against: float
     ev_for: float
     s_star: float
     reference: ReferenceFunction
+    surprise: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.ev_against <= 1.0:
@@ -313,4 +316,5 @@ def fbst_evalue(
         ev_for=1.0 - ev_against,
         s_star=s_star,
         reference=reference,
+        surprise=surprise,
     )

@@ -29,13 +29,23 @@ def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@lru_cache(maxsize=16)
+def _nested_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n-node abscissae followed by the n/2-node ones, with both weight
+    vectors: the layout `log_gauss_legendre` evaluates its integrand on."""
+    u_fine, w_fine = gauss_legendre_nodes(n)
+    u_coarse, w_coarse = gauss_legendre_nodes(n // 2)
+    return np.concatenate((u_fine, u_coarse)), w_fine, w_coarse
+
+
 def log_gauss_legendre(
     log_f: Callable[[np.ndarray], np.ndarray],
     edges,
     n: int,
     *,
     log_scale: float = 0.0,
-) -> tuple[float, float]:
+    weighted_mean: bool = False,
+) -> tuple[float, ...]:
     """log of exp(log_scale) times the integral of exp(log_f) over
     [edges[0], edges[-1]], with its relative error estimate.
 
@@ -46,23 +56,37 @@ def log_gauss_legendre(
     integrand of zero. Each rule's sum is shifted by its largest term, so
     the integrand may lie far outside the double range as long as its log
     does not. The value is -inf when the integrand is zero at every node.
+
+    With ``weighted_mean``, ``log_f`` returns a pair: the log integrand and
+    a second array h of the same shape. The result then gains a third item,
+    the mean of h under the n-node rule's weights, exp(log_f - peak) times
+    the Gauss-Legendre weights, normalized. When h is the derivative of
+    log_f with respect to a parameter, that mean is the derivative of the
+    log integral, from the same pass.
     """
     edges = np.asarray(edges, dtype=float)
-    u_fine, w_fine = gauss_legendre_nodes(n)
-    u_coarse, w_coarse = gauss_legendre_nodes(n // 2)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    values = log_f(mid[:, None] + half[:, None] * np.concatenate((u_fine, u_coarse)))
+    u, w_fine, w_coarse = _nested_rule(n)
+    lo, hi = edges[:-1], edges[1:]
+    half = 0.5 * (hi - lo)
+    nodes = np.multiply.outer(half, u)
+    nodes += 0.5 * (hi + lo)[:, None]
+    values = log_f(nodes)
+    if weighted_mean:
+        values, h = values
 
-    def log_sum(v: np.ndarray, w: np.ndarray) -> float:
+    def log_sum(v: np.ndarray, w: np.ndarray, h: np.ndarray | None = None):
         peak = float(v.max())
         if peak == -math.inf:
-            return peak
-        return peak + math.log(float(half @ (np.exp(v - peak) @ w))) + log_scale
+            return peak, math.nan
+        p = np.exp(v - peak)
+        total = float(half @ (p @ w))
+        mean = math.nan if h is None else float(half @ ((p * h) @ w)) / total
+        return peak + math.log(total) + log_scale, mean
 
-    value = log_sum(values[:, :n], w_fine)
-    coarse = log_sum(values[:, n:], w_coarse)
-    return value, max(abs(math.expm1(coarse - value)), half.size * n * sys.float_info.epsilon)
+    value, mean = log_sum(values[:, :n], w_fine, h[:, :n] if weighted_mean else None)
+    coarse, _ = log_sum(values[:, n:], w_coarse)
+    error = max(abs(math.expm1(coarse - value)), half.size * n * sys.float_info.epsilon)
+    return (value, error, mean) if weighted_mean else (value, error)
 
 
 def batched_log_integral(

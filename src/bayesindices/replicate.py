@@ -46,6 +46,33 @@ _CALIBRATION_T_TOL = 1e-12
 _CALIBRATION_MAX_STEPS = 100
 
 
+def _laplace_start(log_target: float, df: int, n_eff: float, scale: float, y_max: float) -> float:
+    """Newton start of `calibrate_reference_t`: the y = log(1 + t^2/df) in
+    (0, y_max) at which a Laplace approximation of log bf01 equals
+    ``log_target``.
+
+    Around the likelihood peak d = t / sqrt(n_eff), with the standard error
+    se^2 = 1/n_eff + d^2/(2 df) of `ttest._effect_location`, the predictive
+    density under the alternative is about the likelihood at the peak times
+    the prior mass under it, cauchy(d; scale) sqrt(2 pi) se, and the central
+    t density over that likelihood is about e^(-(df + 1) y / 2). So
+
+        log bf01 ~ -(df + 1)/2 y - log cauchy(d; scale) - log(sqrt(2 pi) se).
+
+    d and se change slowly with y, so three fixed-point rounds from y = 0
+    settle it. Each round is kept within 2% of the bracket from either end,
+    so that the start never falls on an end the iteration has not checked.
+    """
+    y = 0.0
+    for _ in range(3):
+        d2 = df * math.expm1(y) / n_eff
+        log_prior_mass = (0.5 * math.log(2.0 * math.pi * (1.0 / n_eff + d2 / (2.0 * df)))
+                          - math.log(math.pi * scale * (1.0 + d2 / (scale * scale))))
+        y = -2.0 / (df + 1.0) * (log_target + log_prior_mass)
+        y = min(max(y, 0.02 * y_max), 0.98 * y_max)
+    return y
+
+
 def calibrate_reference_t(
     bf01_target: float = REFERENCE_BF01,
     n: int = REFERENCE_N,
@@ -54,10 +81,21 @@ def calibrate_reference_t(
     """t statistic at which the analytic Bayes factor equals the target.
 
     bf01 is strictly decreasing in |t| for fixed design, so the positive
-    root is unique. The root is found by a secant in y = log(1 + t^2/df),
-    the variable in which the null's log predictive density is exactly
-    linear, so log bf01 is nearly linear as well; a step that leaves the
-    bracket on t in [0, 10] is replaced by bisection.
+    root is unique. It is found by a safeguarded Newton iteration in
+    y = log(1 + t^2/df), the variable in which the null's log predictive
+    density is exactly linear, so log bf01 is nearly linear as well. Each
+    Bayes-factor evaluation also returns d log bf01 / dy
+    (`BayesFactor.log_bf01_slope`), so a Newton step costs one evaluation.
+
+    The iteration starts from a Laplace approximation of the root
+    (`_laplace_start`) inside the bracket for t in [0, 10], and narrows the
+    bracket with the sign of every evaluation. A Newton step that would
+    leave the bracket, or that is more than half the step before last,
+    becomes a bisection. The ends are assumed to bracket the root until a
+    step leaves on an end's side: that end is then evaluated, refused when
+    its sign is wrong, and iterated from otherwise. The iteration stops
+    once a step moves t by no more than `_CALIBRATION_T_TOL`; a bisection
+    step counts only once both ends of the bracket have been evaluated.
     """
     prior = CauchyPrior(prior_scale)
     # no t reaches a nonpositive target; the bracket check below refuses it
@@ -67,32 +105,46 @@ def calibrate_reference_t(
     def t_of(y: float) -> float:
         return math.sqrt(df * math.expm1(y))
 
-    def objective(y: float) -> float:
+    def objective(y: float) -> tuple[float, float]:
         stats = SufficientStats(t=t_of(y), df=df, n_eff=n / 2, n1=n, n2=n)
-        return jzs_bayes_factor(stats, prior).log_bf01 - log_target
+        bf = jzs_bayes_factor(stats, prior)
+        return bf.log_bf01 - log_target, bf.log_bf01_slope
 
     lo, hi = 0.0, math.log1p(100.0 / df)
-    f_lo, f_hi = objective(lo), objective(hi)
-    if not (f_lo > 0 > f_hi):
-        raise ConvergenceError(
-            f"Bayes-factor target {bf01_target} not bracketed on t in [0, 10]"
-        )
-    (x0, f0), (x1, f1) = (lo, f_lo), (hi, f_hi)
+    # bracket ends not evaluated yet
+    unchecked = {lo, hi}
+    y = _laplace_start(log_target, df, n / 2, prior_scale, hi)
+    step = before_last = hi - lo
     for _ in range(_CALIBRATION_MAX_STEPS):
-        x = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else lo
-        # a secant step inside the bracket is the error of the last iterate
-        if lo <= x <= hi and abs(t_of(x) - t_of(x1)) <= _CALIBRATION_T_TOL:
-            return t_of(x1)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        fx = objective(x)
-        if fx == 0.0:
-            return t_of(x)
-        if fx > 0:
-            lo = x
+        fy, slope = objective(y)
+        if y in unchecked and not (fy > 0 if y == lo else fy < 0):
+            raise ConvergenceError(
+                f"Bayes-factor target {bf01_target} not bracketed on t in [0, 10]"
+            )
+        if fy == 0.0:
+            return t_of(y)
+        if fy > 0:
+            lo = y
         else:
-            hi = x
-        (x0, f0), (x1, f1) = (x1, f1), (x, fx)
+            hi = y
+        unchecked.discard(y)
+        newton = y - fy / slope if slope else math.nan
+        if lo <= newton <= hi and abs(t_of(newton) - t_of(y)) <= _CALIBRATION_T_TOL:
+            return t_of(newton)
+        if lo < newton < hi and abs(2.0 * fy) <= abs(before_last * slope):
+            nxt = newton
+        elif newton >= hi and hi in unchecked:
+            nxt = hi
+        elif newton <= lo and lo in unchecked:
+            nxt = lo
+        else:
+            nxt = 0.5 * (lo + hi)
+            # a root between two evaluated ends lies within half the bracket
+            if (lo not in unchecked and hi not in unchecked
+                    and abs(t_of(nxt) - t_of(y)) <= _CALIBRATION_T_TOL):
+                return t_of(nxt)
+        before_last, step = step, abs(nxt - y)
+        y = nxt
     raise ConvergenceError(
         f"t calibration for target {bf01_target} did not converge in "
         f"{_CALIBRATION_MAX_STEPS} steps"

@@ -206,6 +206,9 @@ class IndexReport:
     data: dict[str, Any] | None = None
     # analytic bf10 from the Bayes-factor owner, for the text report only
     analytic_bf10: float | None = None
+    # surprise curve of each FBST index that ran, by index name, for the
+    # plot export only
+    surprise: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def errors(self) -> dict[str, str]:
@@ -317,6 +320,7 @@ def run_all_indices(
     null = config.null_value
     indices: dict[str, Any] = {"bf01_analytic": None}
     failures: dict[str, Exception] = {}
+    surprise: dict[str, np.ndarray] = {}
 
     def attempt(name: str, fn) -> None:
         try:
@@ -341,8 +345,9 @@ def run_all_indices(
         return (decision.hpd.lower, decision.hpd.upper, decision.mass_in_rope,
                 rope_mass(posterior, config.rope, hpd=decision.hpd))
 
-    def fbst(reference: ReferenceFunction):
+    def fbst(name: str, reference: ReferenceFunction):
         result = fbst_evalue(posterior, reference, null)
+        surprise[name] = result.surprise
         return result.ev_against, result.ev_for, result.s_star
 
     attempt("savage_dickey", savage_dickey)
@@ -361,8 +366,8 @@ def run_all_indices(
         if posterior.support[0] <= null <= posterior.support[1]
         else None
     )
-    attempt("fbst_flat", lambda: fbst(ReferenceFunction.flat()))
-    attempt("fbst_prior", lambda: fbst(ReferenceFunction.from_prior(prior)))
+    attempt("fbst_flat", lambda: fbst("fbst_flat", ReferenceFunction.flat()))
+    attempt("fbst_prior", lambda: fbst("fbst_prior", ReferenceFunction.from_prior(prior)))
 
     diagnostics: dict[str, Any] = {
         "map_at_boundary": peak.at_boundary,
@@ -380,6 +385,7 @@ def run_all_indices(
         diagnostics=diagnostics,
         failures=failures,
         versions=package_versions(),
+        surprise=surprise,
     )
 
 
@@ -422,6 +428,13 @@ class Analysis:
             if not set(keys).isdisjoint(_INDEX_KEYS[name]):
                 raise exc
         return {key: self.block.indices[key] for key in keys}
+
+    @property
+    def surprise(self) -> dict[str, np.ndarray]:
+        """The surprise curve on the posterior grid of each FBST index that
+        ran (``fbst_flat``, ``fbst_prior``), as the index block computed it.
+        No report writes it; the plot export does."""
+        return self.block.surprise
 
     def bayes_factor(self) -> BayesFactor | None:
         """The analytic Bayes factor, which tests the zero null only."""

@@ -450,6 +450,15 @@ def test_plotdata_outputs(tmp_path, sim_csv):
             "rope_lower", "rope_upper", "s_star_flat", "s_star_prior"} <= names
 
 
+def test_plotdata_computes_each_surprise_curve_once(tmp_path, sim_csv):
+    # the FBST indices build both curves; the export reuses them
+    from bayesindices import indices
+    with mock.patch.object(indices, "surprise_function",
+                           wraps=indices.surprise_function) as spy:
+        assert main(["plotdata", sim_csv, "--out", str(tmp_path / "plots")]) == 0
+    assert [c.args[1].kind for c in spy.call_args_list] == ["flat", "prior"]
+
+
 def _annotations(out_dir):
     rows = (out_dir / "annotations.csv").read_text().splitlines()[2:]
     return {name: float(value) for name, _, value in (row.split(",") for row in rows)}

@@ -564,6 +564,16 @@ def test_one_sided_savage_dickey_matches_analytic_through_library():
     assert sd == pytest.approx(analytic, rel=0.01)
 
 
+def test_median_is_numpy_median_bit_for_bit():
+    from bayesindices.ttest import _median
+    rng = np.random.default_rng(3)
+    for size in (1, 2, 3, 4, 7, 10, 257, 1000):
+        # the last array has ties at the middle; + 0.0 turns -0.0 into 0.0
+        for v in (rng.standard_normal(size), rng.exponential(size=size) * 1e-300,
+                  np.round(rng.standard_normal(size), 1) + 0.0):
+            assert _median(v) == float(np.median(v))
+
+
 # ---------------------------------------------------------------- simulate
 
 def test_simulate_reference_parameters():
