@@ -20,7 +20,7 @@ from .posterior import (
     MapEstimate,
     ReferenceFunction,
     SampleSet,
-    _clipped_sublevel_mass,
+    _clipped_level_mass,
     grid_quantile,
     hpd_interval,
     map_estimate,
@@ -308,8 +308,10 @@ def fbst_evalue(
     _require_in_support(posterior, null_value, "null value")
     surprise = surprise_function(posterior, reference)
     s_star = float(np.interp(null_value, posterior.points, surprise))
-    ev_against = 1.0 - _clipped_sublevel_mass(
-        posterior.points, posterior.densities, surprise, s_star
+    # summed over the superlevel set itself, so that no evidence reads 0
+    # exactly and not 1 - (a sublevel mass rounded near 1)
+    ev_against = _clipped_level_mass(
+        posterior.points, posterior.densities, surprise, s_star, above=True
     )
     return FbstResult(
         ev_against=ev_against,

@@ -241,36 +241,41 @@ def mass_in_interval(posterior: SampleSet | DensityGrid, lower: float, upper: fl
     return _mass_between(posterior.points, posterior.densities, lower, upper)
 
 
-def _sublevel_mass(points: np.ndarray, dens: np.ndarray, values: np.ndarray, threshold: float) -> float:
-    """Integral of ``dens`` over {x : values(x) <= threshold}, both fields
+def _level_mass(
+    points: np.ndarray, dens: np.ndarray, values: np.ndarray, threshold: float, *, above: bool = False
+) -> float:
+    """Integral of ``dens`` over {x : values(x) <= threshold}, or over its
+    complement {x : values(x) > threshold} when ``above``, both fields
     piecewise linear on the grid, crossings located by linear interpolation."""
     x0, x1 = points[:-1], points[1:]
     v0, v1 = values[:-1], values[1:]
     p0, p1 = dens[:-1], dens[1:]
     h = x1 - x0
-    below0 = v0 <= threshold
-    below1 = v1 <= threshold
-    seg = np.where(below0 & below1, 0.5 * (p0 + p1) * h, 0.0)
-    cross = below0 ^ below1
+    in0 = v0 > threshold if above else v0 <= threshold
+    in1 = v1 > threshold if above else v1 <= threshold
+    seg = np.where(in0 & in1, 0.5 * (p0 + p1) * h, 0.0)
+    cross = in0 ^ in1
     if np.any(cross):
         f = (threshold - v0[cross]) / (v1[cross] - v0[cross])
         xc = x0[cross] + f * h[cross]
         pc = p0[cross] + f * (p1[cross] - p0[cross])
         left_piece = 0.5 * (p0[cross] + pc) * (xc - x0[cross])
         right_piece = 0.5 * (pc + p1[cross]) * (x1[cross] - xc)
-        seg[cross] = np.where(below0[cross], left_piece, right_piece)
+        seg[cross] = np.where(in0[cross], left_piece, right_piece)
     return float(seg.sum())
 
 
-def _clipped_sublevel_mass(points: np.ndarray, dens: np.ndarray, values: np.ndarray, threshold: float) -> float:
-    return min(1.0, max(0.0, _sublevel_mass(points, dens, values, threshold)))
+def _clipped_level_mass(
+    points: np.ndarray, dens: np.ndarray, values: np.ndarray, threshold: float, *, above: bool = False
+) -> float:
+    return min(1.0, max(0.0, _level_mass(points, dens, values, threshold, above=above)))
 
 
 def level_set_mass(posterior: DensityGrid, threshold: float) -> float:
     """Posterior mass of the sublevel set {x : density(x) <= threshold}."""
     if threshold < 0:
         raise InvalidArgumentError("threshold must be nonnegative")
-    return _clipped_sublevel_mass(
+    return _clipped_level_mass(
         posterior.points, posterior.densities, posterior.densities, threshold
     )
 

@@ -21,12 +21,49 @@ import numpy as np
 
 from .errors import ConvergenceError
 
+# Newton's method for the Gauss-Legendre nodes stops once no node moves by
+# more than this (about an ulp of 1), within this many steps
+_GL_NEWTON_TOL = 2e-16
+_GL_NEWTON_STEPS = 10
+
 
 @lru_cache(maxsize=16)
 def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached Gauss-Legendre nodes and weights on [-1, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes, weights
+    """Cached Gauss-Legendre nodes and weights on [-1, 1], ascending.
+
+    Newton's method on P_n, evaluated by the three-term recurrence, from
+    Tricomi's asymptotic starts, for the nonnegative nodes at once; O(n^2)
+    work and O(n) memory, with no eigen-solve. The weight
+    2 / ((1 - x^2) P_n'(x)^2) takes P_n' and 1 - x^2 at the root itself,
+    moved by the last Newton step from the rounded node, so the weights
+    near +-1 are not off by the node's rounding times 1/(1 - x).
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    theta = (4.0 * k - 1.0) * math.pi / (4.0 * n + 2.0)
+    x = np.cos(theta) * (
+        1.0 - (n - 1.0) / (8.0 * n ** 3)
+        - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n ** 4)
+    )
+    if n % 2:
+        x[-1] = 0.0
+    for _ in range(_GL_NEWTON_STEPS):
+        p_prev, p = np.ones_like(x), x.copy()
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2.0 * j - 1.0) * x * p - (j - 1.0) * p_prev) / j
+        one_minus_x2 = (1.0 - x) * (1.0 + x)
+        dp = n * (p_prev - x * p) / one_minus_x2
+        step = p / dp
+        if not np.max(np.abs(step)) > _GL_NEWTON_TOL:
+            break
+        x -= step
+    else:
+        raise ConvergenceError(f"Gauss-Legendre nodes for n = {n} did not converge")
+    # P_n' and 1 - x^2 at x - step, the root to first order
+    dp -= step * (2.0 * x * dp - n * (n + 1.0) * p) / one_minus_x2
+    one_minus_x2 += 2.0 * x * step
+    w = 2.0 / (one_minus_x2 * dp * dp)
+    half = n // 2
+    return np.concatenate((-x[:half], x[::-1])), np.concatenate((w[:half], w[::-1]))
 
 
 @lru_cache(maxsize=16)

@@ -47,8 +47,10 @@ PRIOR_PRESETS = {
 
 DEFAULT_GRID_SIZE = 4096
 DEFAULT_GRID_BOUND = 3.0
-# share of probability mass allowed beyond either grid edge
+# share of probability mass allowed beyond either grid edge, and the points
+# on each margin that estimate it
 TRUNCATION_LIMIT = 1e-3
+_MARGIN_POINTS = 64
 
 # two-sided Bayes factor: Gauss-Legendre nodes in x = log g, and the reach of
 # the bracket below the prior peak (the integrand falls like exp(-e^-x / 2)
@@ -68,13 +70,18 @@ _LOG_2_OVER_PI = math.log(2.0 / math.pi)
 _LOG_DEAD = -800.0
 # shared-x kernel (`_shared_x_kernel`): trapezoid spacing in widths of the
 # narrowest integrand, the e-folds each window reaches beyond a peak, the
-# node caps per window and per call, and matrix elements per block
+# width of a group of peaks in typical windows, the node caps per window and
+# per call, and matrix elements per block. The reach and the group width
+# only set the cost: each point's own tail bound and half rule still
+# certify it, and a point they do not certify takes the per-point path.
 _KERNEL_STEP = 0.3
 _KERNEL_REFINE = 2
-_KERNEL_DROP = 40.0
+_KERNEL_DROP = 32.0
+_KERNEL_GROUP = 0.1
 _KERNEL_MAX_NODES = 1024
 _LATTICE_MAX_NODES = 1 << 16
 _KERNEL_BLOCK = 1 << 17
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,15 +429,23 @@ def _shared_x_kernel(
     are grouped by the location of their integrand's peak; each group
     integrates on a window of the lattice wide enough for every member, at
     the largest power-of-two stride that keeps 1/_KERNEL_STEP nodes per
-    width of its narrowest member. So every point costs one exponential
-    per node and a matrix-vector product, with no per-node log.
+    width of its narrowest member. The kernel enters the group's rule
+    weights, so a block of nodes x points costs four array passes
+    (subtract, square, subtract the point's term, exp) in one buffer
+    reused by every block, then a product with the weights: one exponential
+    per node and no per-node log.
 
     A point is certified when the half rule (every other node, no extra
     exponential) agrees with the full rule to ``rel_tol``, and when the
     integrand's mass beyond both window ends, bounded from its value and
-    slope there, is below ``rel_tol`` of the integral. Returns the values
-    and a mask of the points that are done: certified, or zero because
-    their peak underflows. The rest need the per-point path.
+    slope there, is below ``rel_tol`` of the integral. Since that holds per
+    point, the window reach (e^-_KERNEL_DROP, where a Gaussian integrand's
+    tail bound is below 1e-15 of its mass) and the group width
+    (_KERNEL_GROUP of a typical window, so a union window is little wider
+    than its members') are chosen for cost alone: a point they leave short
+    fails its own certificate. Returns the values and a mask of the points
+    that are done: certified, or zero because their peak underflows. The
+    rest need the per-point path.
     """
     out = np.zeros(ncp.size)
     done = np.zeros(ncp.size, dtype=bool)
@@ -465,9 +480,9 @@ def _shared_x_kernel(
         left = np.maximum(left, left + (_KERNEL_DROP - drop) / slope)
     lo = s_peak - left
     hi = s_peak + right
-    # groups of similar peak location, each a quarter of a typical window wide
+    # groups of similar peak location, each a tenth of a typical window wide
     order = np.argsort(s_peak, kind="stable")
-    span = 0.25 * _median(left + right)
+    span = _KERNEL_GROUP * _median(left + right)
     group = np.floor((s_peak[order] - s_peak[order[0]]) / span).astype(np.int64)
     starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
     bounds = np.r_[starts, order.size]
@@ -492,14 +507,19 @@ def _shared_x_kernel(
     s_nodes = origin + step * np.arange(n_lattice)
     w_nodes = np.exp(s_nodes)
     kernel = s_nodes - df * _kernel_gap(s_nodes)
-    xw_nodes = x * w_nodes
+    # in sqrt(1/2)-scaled coordinates the ncp factor is exp(-(c - x' w)^2)
+    xw_nodes = (x * _SQRT_HALF) * w_nodes
+    c_live = ncp[live] * _SQRT_HALF
+    # one buffer for every block of the call: a block, or the midpoints of
+    # its last refinement, which are at most twice its nodes
+    buf = np.empty(2 * _KERNEL_BLOCK)
 
-    def integrand(idx: np.ndarray, nodes: slice) -> np.ndarray:
-        f = np.subtract.outer(ncp[live[idx]], xw_nodes[nodes])
-        np.multiply(f, f, out=f)
-        f *= -0.5
-        f += kernel[nodes]
-        f -= g_peak[idx, None]
+    def integrand(idx: np.ndarray, xw: np.ndarray, row: np.ndarray) -> np.ndarray:
+        # nodes x points, exp(row - (x' w - c)^2); the kernel is in the weights
+        f = buf[:xw.size * idx.size].reshape(xw.size, idx.size)
+        np.subtract.outer(xw, c_live[idx], out=f)
+        np.square(f, out=f)
+        np.subtract(row, f, out=f)
         return np.exp(f, out=f)
 
     for k in range(starts.size):
@@ -507,24 +527,36 @@ def _shared_x_kernel(
         nk, sk, lo_k, hi_k = int(n_nodes[k]), int(stride[k]), int(j0[k]), int(j1[k])
         if nk > _KERNEL_MAX_NODES:
             continue
+        nodes = slice(lo_k, hi_k + 1, sk)
+        # the kernel goes into the weights as exp(kernel - shift), and an
+        # element is exp(shift - g_peak - (x' w - c)^2). With the shift
+        # halfway between the kernel's maximum (below 1/(2 df)) and the
+        # lowest member peak (above _LOG_DEAD - log_scale, so about -810),
+        # neither factor exceeds e^410, and a factor that underflows stands
+        # for a term below e^-330 of its point's peak
+        kern = kernel[nodes]
+        shift = 0.5 * (float(kern.max()) + float(g_peak[members].min()))
+        kern = np.exp(kern - shift)
         h = step * sk
-        weights = np.zeros((nk, 2))
-        weights[:, 0] = h
-        weights[::2, 1] = 2.0 * h
+        weights = np.zeros((2, nk))
+        weights[0] = h * kern
+        weights[1, ::2] = 2.0 * h * kern[::2]
+        xw_k = xw_nodes[nodes].copy()
         w_ends = w_nodes[[lo_k, hi_k]]
         rows = max(1, _KERNEL_BLOCK // nk)
         for r in range(0, members.size, rows):
             idx = members[r:r + rows]
             pts = live[idx]
-            f = integrand(idx, slice(lo_k, hi_k + 1, sk))
-            full, half = (f @ weights).T
+            row = shift - g_peak[idx]
+            f = integrand(idx, xw_k, row)
+            full, half = weights @ f
             # slope of the log-integrand in s at both window ends; beyond
             # them the mass is at most value / |slope| (the slope is
             # monotone outside the peak, and at least q on the far left)
             slope_lo = q + w_ends[0] * (b[pts] - a * w_ends[0])
             slope_hi = q + w_ends[1] * (b[pts] - a * w_ends[1])
             with np.errstate(divide="ignore", invalid="ignore"):
-                tails = f[:, 0] / np.minimum(slope_lo, q) - f[:, -1] / slope_hi
+                tails = kern[0] * f[0] / np.minimum(slope_lo, q) - kern[-1] * f[-1] / slope_hi
             bracketed = (slope_lo > 0.0) & (slope_hi < 0.0) & (full > 0.0)
             # halve the spacing where the rules disagree: only the midpoints
             # are new, and the old full rule becomes the new half rule
@@ -534,9 +566,10 @@ def _shared_x_kernel(
                 if redo.size == 0:
                     break
                 sub //= 2
-                mids = integrand(idx[redo], slice(lo_k + sub, hi_k, 2 * sub))
+                mid = slice(lo_k + sub, hi_k, 2 * sub)
+                mids = integrand(idx[redo], xw_nodes[mid].copy(), row[redo])
                 half[redo] = full[redo]
-                full[redo] = 0.5 * full[redo] + step * sub * mids.sum(axis=1)
+                full[redo] = 0.5 * full[redo] + (step * sub * np.exp(kernel[mid] - shift)) @ mids
             ok = (
                 bracketed
                 & (np.abs(full - half) <= rel_tol * full)
@@ -692,6 +725,13 @@ def posterior_density_grid(
     [-2, 2] plus six standard errors around the sample effect. Explicit
     bounds are honoured as given and checked: if either edge clips 0.1% or
     more of the posterior mass a TruncatedSupportError is raised.
+
+    The clipped mass comes from `_MARGIN_POINTS` points on each margin, a
+    quarter of the range beyond each edge. The margins feed only that 0.1%
+    test, never an index, so they need the share to some percent, not to
+    the kernel's 1e-12: near the limit 64 points came within about 15% of
+    a 2^14-point margin, and no design of a random sweep was decided
+    differently.
     """
     if alternative not in ALTERNATIVES:
         raise InvalidArgumentError(f"alternative must be one of {ALTERNATIVES}")
@@ -721,9 +761,8 @@ def posterior_density_grid(
     # estimate the clipped tail with margin extensions of a quarter range,
     # evaluated with the core grid in one noncentral-t call
     margin = 0.25 * (hi - lo)
-    margin_pts = max(grid_size // 8, 64)
-    left = np.linspace(lo - margin, lo, margin_pts) if alternative != GREATER else points[:0]
-    right = np.linspace(hi, hi + margin, margin_pts) if alternative != LESS else points[:0]
+    left = np.linspace(lo - margin, lo, _MARGIN_POINTS) if alternative != GREATER else points[:0]
+    right = np.linspace(hi, hi + margin, _MARGIN_POINTS) if alternative != LESS else points[:0]
     everywhere = np.concatenate((points, left, right))
     unnormalized = noncentral_t_pdf(
         stats.t, stats.df, everywhere * math.sqrt(stats.n_eff)

@@ -282,6 +282,21 @@ def test_fbst_null_at_mode_gives_zero_evidence(normal_grid):
     assert res.ev_for == 1.0 - res.ev_against
 
 
+@pytest.mark.parametrize("n", [64, 1001, 2001, 4096])
+def test_fbst_no_evidence_is_exactly_zero(n):
+    # with the null at the grid's unique highest surprise no point lies
+    # above the threshold, so the e-value is 0 whatever the grid's rounding
+    x = np.linspace(-3.0, 5.0, n)
+    peak = x[n // 3]
+    grid = normalize_grid(DensityGrid(x, np.exp(-0.5 * ((x - peak) / 0.7) ** 2)))
+    prior = ReferenceFunction.from_prior(DensityGrid(x, np.exp(-0.5 * (x / 3.0) ** 2)))
+    for ref_fn in (ReferenceFunction.flat(), prior):
+        best = x[int(np.argmax(surprise_function(grid, ref_fn)))]
+        res = fbst_evalue(grid, ref_fn, best)
+        assert res.ev_against == 0.0
+        assert res.ev_for == 1.0
+
+
 def test_fbst_flat_equals_level_set_complement(reference):
     posterior = reference["posterior"]
     res = fbst_evalue(posterior, ReferenceFunction.flat(), 0.0)

@@ -5,7 +5,39 @@ import numpy as np
 import pytest
 
 from bayesindices.errors import ConvergenceError
-from bayesindices.quadrature import batched_log_integral, log_gauss_legendre
+from bayesindices.quadrature import (
+    batched_log_integral,
+    gauss_legendre_nodes,
+    log_gauss_legendre,
+)
+
+
+def _oracle_legendre_root(n, start):
+    """The root of P_n near ``start`` and its weight, at 40 digits."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x = mp.mpf(start)
+        for _ in range(5):
+            p_prev, p = mp.mpf(1), x
+            for j in range(2, n + 1):
+                p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+            dp = n * (p_prev - x * p) / (1 - x * x)
+            x -= p / dp
+        return float(x), float(2 / ((1 - x * x) * dp * dp))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 128, 256])
+def test_gauss_legendre_nodes_match_mpmath_oracle(n):
+    nodes, weights = gauss_legendre_nodes(n)
+    assert nodes.shape == weights.shape == (n,)
+    assert np.all(np.diff(nodes) > 0.0)
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    # both ends, where a weight is most sensitive to its node, and a spread
+    for i in sorted(i for i in {0, 1, 2, n - 1, n // 2, *range(0, n, max(1, n // 12))} if i < n):
+        x, w = _oracle_legendre_root(n, nodes[i])
+        assert abs(nodes[i] - x) <= 1e-15, (n, i)
+        assert abs(weights[i] - w) <= 1e-13 * w, (n, i)
 
 
 def test_polynomial_exact():

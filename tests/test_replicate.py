@@ -188,18 +188,29 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "[]"
 
 
-def test_cli_analyze_leaves_numpy_ma_out(tmp_path):
-    # np.median imports numpy.ma, about 10 ms of every cold process
+def _modules_after_cold_analyze(tmp_path, package):
+    """The modules of ``package`` that one `analyze` in a fresh process imports."""
     csv = tmp_path / "d.csv"
     assert cli.main(["simulate", "--seed", "11", "--out", str(csv)]) == 0
     code = ("import contextlib, io, sys; from bayesindices import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main(['analyze', {str(csv)!r}]) == 0\n"
-            "print('numpy.ma' in sys.modules)")
+            f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_analyze_leaves_numpy_ma_out(tmp_path):
+    # np.median imports numpy.ma, about 10 ms of every cold process
+    assert _modules_after_cold_analyze(tmp_path, "numpy.ma") == "[]"
+
+
+def test_cli_analyze_leaves_numpy_polynomial_out(tmp_path):
+    # the Gauss-Legendre rules of the two-sided Bayes factor come from a
+    # Newton iteration, not from numpy.polynomial's leggauss and its import
+    assert _modules_after_cold_analyze(tmp_path, "numpy.polynomial") == "[]"
 
 
 def test_reference_analysis_is_the_hand_built_analysis(reference):

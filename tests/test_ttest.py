@@ -239,10 +239,12 @@ def test_nct_df4_grid_and_far_tail_are_certified():
 
 
 def test_nct_fallback_points_meet_mpmath_oracle(monkeypatch):
-    # at df = 2 (two observations per group) the kernel declines part of
-    # the right tail; those points, and only those, take the per-point path
+    # at df = 2 (two observations per group) the right tail's windows are
+    # the widest; with the window cap lowered the kernel declines part of
+    # it, and those points, and only those, take the per-point path
     from bayesindices import ttest
 
+    monkeypatch.setattr(ttest, "_KERNEL_MAX_NODES", 256)
     x, df = 1.0, 2.0
     ncp = np.linspace(-20.0, 45.0, 261)
     _, done = ttest._shared_x_kernel(x, ncp, df, 1e-12)
@@ -260,6 +262,21 @@ def test_nct_fallback_points_meet_mpmath_oracle(monkeypatch):
     for i in np.flatnonzero(~done)[::8]:
         want = _oracle_nct(x, df, ncp[i])
         assert abs(got[i] - want) <= 1e-11 * want, ncp[i]
+
+
+def test_default_posterior_grids_are_certified_everywhere(monkeypatch):
+    # over n = 2..1e5 per group and |t| up to 45, every point of the default
+    # grid and its margins is certified by the kernel: none falls back
+    from bayesindices import ttest
+
+    fallbacks = []
+    monkeypatch.setattr(ttest, "_per_point_nct",
+                        lambda xf, *args: fallbacks.append(xf.size) or np.zeros(xf.size))
+    for n in (2, 3, 5, 10, 30, 100, 10**3, 10**4, 10**5):
+        for t in (0.0, 0.7, 2.5, -6.0, 10.0, 30.0, 45.0):
+            stats = SufficientStats(t=t, df=2 * n - 2, n_eff=n / 2, n1=n, n2=n)
+            posterior_density_grid(stats, CauchyPrior(0.707))
+            assert not fallbacks, (n, t)
 
 
 @settings(max_examples=40, deadline=None)
