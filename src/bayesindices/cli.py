@@ -30,9 +30,8 @@ from .errors import (
 from .report import AnalysisConfig, analyze
 from .replicate import run_replication
 from .ttest import (
-    GREATER,
-    LESS,
-    TWO_SIDED,
+    ALTERNATIVES,
+    PRIOR_PRESETS,
     TwoSampleData,
     cohen_d,
     simulate_two_sample,
@@ -196,11 +195,12 @@ def _load_config(args: argparse.Namespace) -> AnalysisConfig:
     }
     if args.rope is not None:
         overrides["rope"] = list(args.rope)
-    thr = dict(raw.get("thresholds") or {})
+    thr = raw.get("thresholds") or {}
     for key, flag in (("pd", args.pd_threshold), ("p_map", args.p_map_threshold),
                       ("ev", args.ev_threshold)):
-        if flag is not None:
-            thr[key] = flag
+        # a file value that is not an object is left for the config to refuse
+        if flag is not None and isinstance(thr, dict):
+            thr = {**thr, key: flag}
     if thr:
         overrides["thresholds"] = thr
     if args.prior_scale is not None:
@@ -305,13 +305,12 @@ def _add_analysis_options(parser: argparse.ArgumentParser) -> None:
     prior = parser.add_mutually_exclusive_group()
     prior.add_argument("--prior-scale", type=float, default=None,
                        help="Cauchy prior scale on the effect size")
-    prior.add_argument("--prior-preset", choices=("medium", "wide", "ultrawide"),
-                       default=None)
+    prior.add_argument("--prior-preset", choices=tuple(PRIOR_PRESETS), default=None)
     parser.add_argument("--rope", nargs=2, type=float, metavar=("LO", "HI"),
                         default=None, help="practical-equivalence bounds")
     parser.add_argument("--hpd-mass", type=float, default=None)
     parser.add_argument("--null-value", type=float, default=None)
-    parser.add_argument("--alternative", choices=(TWO_SIDED, GREATER, LESS), default=None)
+    parser.add_argument("--alternative", choices=ALTERNATIVES, default=None)
     parser.add_argument("--grid-size", type=int, default=None)
     parser.add_argument("--pd-threshold", type=float, default=None)
     parser.add_argument("--p-map-threshold", type=float, default=None)

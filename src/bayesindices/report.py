@@ -35,10 +35,6 @@ from .indices import (
 )
 from .posterior import DensityGrid, ReferenceFunction, grid_mean, map_estimate
 from .ttest import (
-    ALTERNATIVES,
-    GREATER,
-    LESS,
-    PRIOR_PRESETS,
     TWO_SIDED,
     BayesFactor,
     CauchyPrior,
@@ -81,43 +77,36 @@ class AnalysisConfig:
     def __post_init__(self):
         if self.prior_scale is not None and self.prior_preset is not None:
             raise InvalidArgumentError("prior_scale and prior_preset are mutually exclusive")
-        if self.prior_preset is not None and self.prior_preset not in PRIOR_PRESETS:
-            raise InvalidArgumentError(
-                f"unknown prior preset {self.prior_preset!r}; "
-                f"choose from {sorted(PRIOR_PRESETS)}"
-            )
         if self.prior_scale is not None and not self.prior_scale > 0:
             raise InvalidArgumentError("prior_scale must be positive")
+        # the prior checks the preset and the alternative
+        floor, ceiling = self.prior.support
         if not 0.0 < self.hpd_mass < 1.0:
             raise InvalidArgumentError("hpd_mass must lie in (0, 1)")
-        if self.alternative not in ALTERNATIVES:
-            raise InvalidArgumentError(f"alternative must be one of {ALTERNATIVES}")
         if self.grid_size < 64:
             raise InvalidArgumentError("grid_size must be at least 64")
         if not math.isfinite(self.null_value):
             raise InvalidArgumentError("null_value must be finite")
         if not self.rope.contains(self.null_value):
             raise InvalidArgumentError("ROPE must contain the null value")
-        if (self.alternative == GREATER and self.null_value < 0.0
-                or self.alternative == LESS and self.null_value > 0.0):
+        if not floor <= self.null_value <= ceiling:
             raise InvalidArgumentError(
                 f"null value {self.null_value:g} lies outside the {self.alternative} "
                 "alternative's half-line"
             )
 
     @property
-    def scale(self) -> float:
-        """Resolved Cauchy prior scale."""
+    def prior(self) -> CauchyPrior:
+        """The Cauchy prior of the alternative, with its scale resolved."""
         if self.prior_preset is not None:
-            return PRIOR_PRESETS[self.prior_preset]
-        if self.prior_scale is not None:
-            return self.prior_scale
-        return 1.0
+            return CauchyPrior.from_preset(self.prior_preset, self.alternative)
+        scale = 1.0 if self.prior_scale is None else self.prior_scale
+        return CauchyPrior(scale, self.alternative)
 
     def to_dict(self) -> dict[str, Any]:
         """Round-trippable form: only one of prior_scale/prior_preset is set."""
         return {
-            "prior_scale": None if self.prior_preset is not None else self.scale,
+            "prior_scale": None if self.prior_preset is not None else self.prior.scale,
             "prior_preset": self.prior_preset,
             "rope": [self.rope.lower, self.rope.upper],
             "hpd_mass": self.hpd_mass,
@@ -133,27 +122,30 @@ class AnalysisConfig:
 
     def echo(self) -> dict[str, Any]:
         """Report form: the prior scale is always resolved to a number."""
-        out = self.to_dict()
-        out["prior_scale"] = self.scale
-        return out
+        return {**self.to_dict(), "prior_scale": self.prior.scale}
 
-    _KEYS = (
-        "prior_scale", "prior_preset", "rope", "hpd_mass", "null_value",
-        "alternative", "grid_size", "thresholds",
-    )
+    # each config key, with what it holds in JSON
+    _KEYS = {
+        "prior_scale": "a number", "prior_preset": "a string", "rope": "a pair of numbers",
+        "hpd_mass": "a number", "null_value": "a number", "alternative": "a string",
+        "grid_size": "an integer", "thresholds": "an object of numbers",
+    }
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "AnalysisConfig":
+        """The config of a JSON object; a null value keeps the default."""
         unknown = set(raw) - set(cls._KEYS)
         if unknown:
             raise InvalidArgumentError(
                 f"unknown config key(s): {', '.join(sorted(unknown))}"
             )
-        kwargs = dict(raw)
-        if "rope" in kwargs and kwargs["rope"] is not None:
-            lo, hi = kwargs["rope"]
-            kwargs["rope"] = Rope(float(lo), float(hi))
-        if "thresholds" in kwargs and kwargs["thresholds"] is not None:
+        kwargs = {k: v for k, v in raw.items() if v is not None}
+        for key, value in kwargs.items():
+            if not _holds(cls._KEYS[key], value):
+                raise InvalidArgumentError(f"config key {key!r} must be {cls._KEYS[key]}")
+        if "rope" in kwargs:
+            kwargs["rope"] = Rope(*map(float, kwargs["rope"]))
+        if "thresholds" in kwargs:
             thr = kwargs["thresholds"]
             extra = set(thr) - {"pd", "p_map", "ev"}
             if extra:
@@ -161,7 +153,19 @@ class AnalysisConfig:
                     f"unknown threshold key(s): {', '.join(sorted(extra))}"
                 )
             kwargs["thresholds"] = Thresholds(**thr)
-        return cls(**{k: v for k, v in kwargs.items() if v is not None})
+        return cls(**kwargs)
+
+
+def _holds(kind: str, value: Any) -> bool:
+    """Whether a JSON value is of the kind `AnalysisConfig._KEYS` names;
+    JSON's true and false are not numbers."""
+    if kind == "a pair of numbers":
+        return (isinstance(value, list) and len(value) == 2
+                and all(_holds("a number", v) for v in value))
+    if kind == "an object of numbers":
+        return isinstance(value, dict) and all(_holds("a number", v) for v in value.values())
+    kinds = {"a string": str, "an integer": int}.get(kind, (int, float))
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def package_versions() -> dict[str, str]:
@@ -258,7 +262,7 @@ class IndexReport:
 
         lines.append(f"posterior: mean {fmt('mean')}  median {fmt('median')}  "
                      f"MAP {fmt('map_location')}")
-        lines.append(f"{int(cfg['hpd_mass'] * 100)}% HPD: "
+        lines.append(f"{100 * cfg['hpd_mass']:g}% HPD: "
                      f"[{fmt('hpd_lower')}, {fmt('hpd_upper')}]")
         lines.append("")
         lines.append("Bayes factor - how strongly should the data shift beliefs "
@@ -390,13 +394,14 @@ def run_all_indices(
 
 
 def _data_digest(data: TwoSampleData, stats: SufficientStats) -> dict[str, Any]:
+    (mean1, var1), (mean2, var2) = data.moments
     return {
         "n1": int(data.group1.size),
         "n2": int(data.group2.size),
-        "mean1": float(data.group1.mean()),
-        "sd1": float(data.group1.std(ddof=1)),
-        "mean2": float(data.group2.mean()),
-        "sd2": float(data.group2.std(ddof=1)),
+        "mean1": float(mean1),
+        "sd1": math.sqrt(var1),
+        "mean2": float(mean2),
+        "sd2": math.sqrt(var2),
         "t": stats.t,
         "df": stats.df,
         "n_eff": stats.n_eff,
@@ -440,7 +445,7 @@ class Analysis:
         """The analytic Bayes factor, which tests the zero null only."""
         if self.config.null_value != 0.0:
             return None
-        return jzs_bayes_factor(self.stats, self.prior, self.config.alternative)
+        return jzs_bayes_factor(self.stats, self.prior)
 
     def report(self, data: TwoSampleData | None = None) -> IndexReport:
         """The `analyze` report: the index block plus the analytic Bayes
@@ -459,10 +464,8 @@ class Analysis:
 def analyze(stats: SufficientStats, config: AnalysisConfig) -> Analysis:
     """Build the prior and the posterior and prior grids for ``stats`` and
     run the index block on them."""
-    prior = CauchyPrior(config.scale)
-    posterior = posterior_density_grid(
-        stats, prior, grid_size=config.grid_size, alternative=config.alternative
-    )
-    prior_grid = prior.on_grid(posterior.points, config.alternative)
+    prior = config.prior
+    posterior = posterior_density_grid(stats, prior, grid_size=config.grid_size)
+    prior_grid = prior.on_grid(posterior.points)
     return Analysis(config, stats, prior, posterior, prior_grid,
                     run_all_indices(posterior, prior_grid, config))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +37,8 @@ TWO_SIDED = "two-sided"
 GREATER = "greater"
 LESS = "less"
 ALTERNATIVES = (TWO_SIDED, GREATER, LESS)
+# the closed half-line of each alternative's prior
+_SUPPORTS = {TWO_SIDED: (-math.inf, math.inf), GREATER: (0.0, math.inf), LESS: (-math.inf, 0.0)}
 
 # conventional Cauchy prior scales
 PRIOR_PRESETS = {
@@ -90,8 +92,11 @@ class TwoSampleData:
 
     group1: np.ndarray
     group2: np.ndarray
+    # each group's (mean, variance with denominator n - 1), kept from the validation
+    moments: tuple[tuple[float, float], tuple[float, float]] = field(init=False, repr=False)
 
     def __post_init__(self):
+        moments = []
         for name in ("group1", "group2"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.ndim != 1 or arr.size < 2:
@@ -106,9 +111,11 @@ class TwoSampleData:
                 )
             if var <= 0:
                 raise DegenerateDataError(f"{name} has zero variance")
+            moments.append((arr.mean(), var))
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "moments", tuple(moments))
 
 
 @dataclass(frozen=True)
@@ -135,46 +142,50 @@ class SufficientStats:
 
 @dataclass(frozen=True)
 class CauchyPrior:
-    """Centred Cauchy prior on the standardized effect size."""
+    """Centred Cauchy prior on the standardized effect size. A one-sided
+    alternative carries the half-line prior: twice the Cauchy density on its
+    closed half-line (``support``) and zero on the other side."""
 
     scale: float = 1.0
+    alternative: str = TWO_SIDED
 
     def __post_init__(self):
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise InvalidArgumentError("prior scale must be a positive real")
+        if self.alternative not in ALTERNATIVES:
+            raise InvalidArgumentError(f"alternative must be one of {ALTERNATIVES}")
+
+    @property
+    def support(self) -> tuple[float, float]:
+        """The closed half-line of a one-sided prior, or the real line."""
+        return _SUPPORTS[self.alternative]
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
         g = self.scale
-        return 1.0 / (math.pi * g * (1.0 + (x / g) ** 2))
+        density = 1.0 / (math.pi * g * (1.0 + (x / g) ** 2))
+        if self.alternative == TWO_SIDED:
+            return density
+        lo, hi = self.support
+        return np.where((lo <= x) & (x <= hi), 2.0 * density, 0.0)
 
-    def on_grid(self, points: np.ndarray, alternative: str = TWO_SIDED) -> DensityGrid:
-        """Tabulate the prior density of the given alternative on the points.
+    def on_grid(self, points: np.ndarray) -> DensityGrid:
+        """Tabulate the prior density on the points.
 
-        One-sided alternatives use the half-line prior: twice the Cauchy
-        density on the retained side of zero and zero on the other. The
-        result is a windowed tabulation of an unbounded density and is
+        The result is a windowed tabulation of an unbounded density and is
         deliberately not renormalized: density ratios against it (e.g. at
         the null value) must use the genuine prior height.
         """
-        if alternative not in ALTERNATIVES:
-            raise InvalidArgumentError(f"alternative must be one of {ALTERNATIVES}")
         points = np.asarray(points, dtype=float)
-        density = self.density(points)
-        if alternative == GREATER:
-            density = np.where(points >= 0.0, 2.0 * density, 0.0)
-        elif alternative == LESS:
-            density = np.where(points <= 0.0, 2.0 * density, 0.0)
-        return DensityGrid(points, density)
+        return DensityGrid(points, self.density(points))
 
     @classmethod
-    def from_preset(cls, name: str) -> "CauchyPrior":
-        try:
-            return cls(PRIOR_PRESETS[name])
-        except KeyError:
+    def from_preset(cls, name: str, alternative: str = TWO_SIDED) -> "CauchyPrior":
+        if name not in PRIOR_PRESETS:
             raise InvalidArgumentError(
                 f"unknown prior preset {name!r}; choose from {sorted(PRIOR_PRESETS)}"
-            ) from None
+            )
+        return cls(PRIOR_PRESETS[name], alternative)
 
 
 class BayesFactor(NamedTuple):
@@ -198,9 +209,7 @@ class BayesFactor(NamedTuple):
 def cohen_d(data: TwoSampleData) -> float:
     """Standardized mean difference using the root mean of the two sample
     variances (each with denominator n - 1)."""
-    m1, m2 = data.group1.mean(), data.group2.mean()
-    v1 = data.group1.var(ddof=1)
-    v2 = data.group2.var(ddof=1)
+    (m1, v1), (m2, v2) = data.moments
     pooled = math.sqrt((v1 + v2) / 2.0)
     if pooled <= 0:
         raise DegenerateDataError("zero pooled variance")
@@ -218,14 +227,13 @@ def cohen_d_from_moments(mean1: float, sd1: float, mean2: float, sd2: float) -> 
 def sufficient_stats(data: TwoSampleData) -> SufficientStats:
     """Pooled-variance two-sample t statistic with df and effective n."""
     n1, n2 = data.group1.size, data.group2.size
-    v1 = data.group1.var(ddof=1)
-    v2 = data.group2.var(ddof=1)
+    (m1, v1), (m2, v2) = data.moments
     df = n1 + n2 - 2
     sp2 = ((n1 - 1) * v1 + (n2 - 1) * v2) / df
     if sp2 <= 0:
         raise DegenerateDataError("zero pooled variance")
     n_eff = n1 * n2 / (n1 + n2)
-    t = (data.group1.mean() - data.group2.mean()) / math.sqrt(sp2 / n_eff)
+    t = (m1 - m2) / math.sqrt(sp2 / n_eff)
     return SufficientStats(t=float(t), df=df, n_eff=float(n_eff), n1=n1, n2=n2)
 
 
@@ -641,11 +649,9 @@ def _g_mixture_log_bf10(
     return log_bf10, rel_error, -0.5 * (df + 1.0) * score
 
 
-def _marginal_likelihood_h1(
-    stats: SufficientStats, prior: CauchyPrior, alternative: str
-) -> tuple[float, float]:
-    """log predictive density of the observed t under a one-sided
-    alternative, log m1, with its relative error estimate. For `greater`,
+def _marginal_likelihood_h1(stats: SufficientStats, prior: CauchyPrior) -> tuple[float, float]:
+    """log predictive density of the observed t under a one-sided prior,
+    log m1, with its relative error estimate. For `greater`,
 
         m1 = integral_0^inf nct_pdf(t; df, delta sqrt(n_eff)) 2 cauchy(delta; scale) d delta,
 
@@ -659,7 +665,7 @@ def _marginal_likelihood_h1(
     """
     d, se = _effect_location(stats)
     t = stats.t
-    if alternative == LESS:
+    if prior.alternative == LESS:
         d, t = -d, -t
     root_n = math.sqrt(stats.n_eff)
     lo, hi = sorted((se, prior.scale))
@@ -676,34 +682,28 @@ def _marginal_likelihood_h1(
     return quadrature.log_gauss_legendre(log_f, edges, _H1_NODES, log_scale=_LOG_2_OVER_PI)
 
 
-def jzs_bayes_factor(
-    stats: SufficientStats,
-    prior: CauchyPrior,
-    alternative: str = TWO_SIDED,
-) -> BayesFactor:
+def jzs_bayes_factor(stats: SufficientStats, prior: CauchyPrior) -> BayesFactor:
     """Bayes factor for the point null against the Cauchy-prior alternative,
     as the ratio of predictive densities of the observed t statistic.
 
-    Two-sided tests integrate the g-mixture form; one-sided tests integrate
-    the noncentral-t form over the half-line prior and divide by the
-    central-t density. Both integrals are fixed Gauss-Legendre rules in log
-    space (`quadrature.log_gauss_legendre`), whose half rule gives the error
-    estimate; the two-sided pass also gives ``log_bf01_slope``, the
-    derivative of log bf01 in y = log(1 + t^2/df). Raises FloatRangeError
-    when bf01 or bf10 is not a double, and when the predictive density
-    under the alternative underflows.
+    The prior picks the form: a two-sided prior integrates the g-mixture
+    form, a one-sided one the noncentral-t form over its half-line, divided
+    by the central-t density. Both integrals are fixed Gauss-Legendre rules
+    in log space (`quadrature.log_gauss_legendre`), whose half rule gives
+    the error estimate; the two-sided pass also gives ``log_bf01_slope``,
+    the derivative of log bf01 in y = log(1 + t^2/df). Raises
+    FloatRangeError when bf01 or bf10 is not a double, and when the
+    predictive density under the alternative underflows.
     """
-    if alternative not in ALTERNATIVES:
-        raise InvalidArgumentError(f"alternative must be one of {ALTERNATIVES}")
     slope = None
-    if alternative == TWO_SIDED:
+    if prior.alternative == TWO_SIDED:
         log_bf10, rel_error, slope = _g_mixture_log_bf10(stats, prior)
         log_bf01 = -log_bf10
     else:
-        log_m1, rel_error = _marginal_likelihood_h1(stats, prior, alternative)
+        log_m1, rel_error = _marginal_likelihood_h1(stats, prior)
         log_bf01 = float(_log_central_t_pdf(stats.t, stats.df)) - log_m1
         if log_m1 == -math.inf:
-            raise FloatRangeError(f"the {alternative} predictive density of t underflows")
+            raise FloatRangeError(f"the {prior.alternative} predictive density of t underflows")
     if not abs(log_bf01) < _LOG_DOUBLE_MAX:
         raise FloatRangeError(
             f"bf10 = exp({-log_bf01:.6g}) is outside the double-precision range"
@@ -717,29 +717,26 @@ def posterior_density_grid(
     grid_lo: float | None = None,
     grid_hi: float | None = None,
     grid_size: int = DEFAULT_GRID_SIZE,
-    alternative: str = TWO_SIDED,
 ) -> DensityGrid:
     """Normalized posterior density of the effect size on a regular grid.
 
-    With default bounds the grid starts at [-3, 3] and expands to cover
-    [-2, 2] plus six standard errors around the sample effect. Explicit
-    bounds are honoured as given and checked: if either edge clips 0.1% or
-    more of the posterior mass a TruncatedSupportError is raised.
+    The prior picks the form: the grid lies within its ``support``. With
+    default bounds it starts at [-3, 3] and expands to cover [-2, 2] plus
+    six standard errors around the sample effect. Explicit bounds are
+    honoured as given and checked: if an edge inside the support clips 0.1%
+    or more of the posterior mass a TruncatedSupportError is raised.
 
-    The clipped mass comes from `_MARGIN_POINTS` points on each margin, a
-    quarter of the range beyond each edge. The margins feed only that 0.1%
-    test, never an index, so they need the share to some percent, not to
-    the kernel's 1e-12: near the limit 64 points came within about 15% of
-    a 2^14-point margin, and no design of a random sweep was decided
-    differently.
+    The clipped mass comes from `_MARGIN_POINTS` points on the margin
+    beyond each such edge, a quarter of the range wide. The margins feed
+    only that 0.1% test, never an index, so they need the share to some
+    percent, not to the kernel's 1e-12: near the limit 64 points came within
+    about 15% of a 2^14-point margin, and no design of a random sweep was
+    decided differently.
     """
-    if alternative not in ALTERNATIVES:
-        raise InvalidArgumentError(f"alternative must be one of {ALTERNATIVES}")
     if grid_size < 64:
         raise InvalidArgumentError("grid_size must be at least 64")
     d, se = _effect_location(stats)
-    auto = grid_lo is None and grid_hi is None
-    if auto:
+    if grid_lo is None and grid_hi is None:
         lo = min(-DEFAULT_GRID_BOUND, -2.0, d - 6.0 * se)
         hi = max(DEFAULT_GRID_BOUND, 2.0, d + 6.0 * se)
     else:
@@ -748,21 +745,19 @@ def posterior_density_grid(
         lo, hi = float(grid_lo), float(grid_hi)
         if not lo < hi:
             raise InvalidArgumentError("grid_lo must be below grid_hi")
-    if alternative == GREATER:
-        lo = 0.0
-    elif alternative == LESS:
-        hi = 0.0
+    floor, ceiling = prior.support
+    lo, hi = max(lo, floor), min(hi, ceiling)
     if not lo < hi:
         raise InvalidArgumentError(
-            f"grid [{lo:g}, {hi:g}] is empty for a {alternative} alternative"
+            f"grid [{lo:g}, {hi:g}] is empty for a {prior.alternative} alternative"
         )
 
     points = np.linspace(lo, hi, grid_size)
     # estimate the clipped tail with margin extensions of a quarter range,
     # evaluated with the core grid in one noncentral-t call
     margin = 0.25 * (hi - lo)
-    left = np.linspace(lo - margin, lo, _MARGIN_POINTS) if alternative != GREATER else points[:0]
-    right = np.linspace(hi, hi + margin, _MARGIN_POINTS) if alternative != LESS else points[:0]
+    left = np.linspace(lo - margin, lo, _MARGIN_POINTS) if lo > floor else points[:0]
+    right = np.linspace(hi, hi + margin, _MARGIN_POINTS) if hi < ceiling else points[:0]
     everywhere = np.concatenate((points, left, right))
     unnormalized = noncentral_t_pdf(
         stats.t, stats.df, everywhere * math.sqrt(stats.n_eff)

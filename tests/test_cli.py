@@ -242,6 +242,19 @@ def test_unknown_config_key_exits_2(tmp_path, sim_csv, capsys):
     assert "pd_threshold" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw, key", [
+    ({"rope": [0.1]}, "rope"), ({"rope": "ab"}, "rope"), ({"hpd_mass": "0.9"}, "hpd_mass"),
+    ({"prior_scale": "1"}, "prior_scale"), ({"grid_size": 100.5}, "grid_size"),
+    ({"thresholds": [1]}, "thresholds"),
+])
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, sim_csv, capsys, raw, key):
+    cfg = write(tmp_path / "c.json", json.dumps(raw))
+    assert main(["analyze", sim_csv, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key!r} must be ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_config_invalid_json_exits_2(tmp_path, sim_csv):
     cfg = write(tmp_path / "c.json", "{not json")
     assert main(["analyze", sim_csv, "--config", cfg]) == 2

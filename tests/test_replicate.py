@@ -170,7 +170,7 @@ def test_log_bf01_slope_matches_quad_oracle():
 
 def test_log_bf01_slope_is_none_one_sided():
     for alternative in ("greater", "less"):
-        assert jzs_bayes_factor(_stats(2.0, 50), CauchyPrior(1.0), alternative).log_bf01_slope is None
+        assert jzs_bayes_factor(_stats(2.0, 50), CauchyPrior(1.0, alternative)).log_bf01_slope is None
 
 
 def test_calibration_refuses_unbracketed_target():

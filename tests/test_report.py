@@ -7,12 +7,14 @@ import pytest
 
 from bayesindices import (
     AnalysisConfig,
+    CauchyPrior,
     DensityGrid,
     Rope,
     SufficientStats,
     Thresholds,
     analyze,
     derive_verdicts,
+    jzs_bayes_factor,
     normalize_grid,
     run_all_indices,
 )
@@ -28,16 +30,16 @@ def narrow_grid(mu=0.0, sd=1.0):
 
 def test_config_defaults():
     cfg = AnalysisConfig()
-    assert cfg.scale == 1.0
+    assert cfg.prior.scale == 1.0
     assert cfg.rope.lower == -0.1 and cfg.rope.upper == 0.1
     assert cfg.thresholds.pd == 0.95
 
 
 def test_config_preset_resolution():
     cfg = AnalysisConfig(prior_preset="medium")
-    assert cfg.scale == pytest.approx(math.sqrt(2) / 2)
+    assert cfg.prior.scale == pytest.approx(math.sqrt(2) / 2)
     cfg = AnalysisConfig(prior_preset="ultrawide")
-    assert cfg.scale == pytest.approx(math.sqrt(2))
+    assert cfg.prior.scale == pytest.approx(math.sqrt(2))
 
 
 def test_config_scale_and_preset_exclusive():
@@ -64,6 +66,37 @@ def test_config_rejects_unknown_alternative():
     AnalysisConfig(alternative="two-sided")
     with pytest.raises(InvalidArgumentError, match="alternative"):
         AnalysisConfig(alternative="sideways")
+
+
+def test_config_prior_carries_the_preset_and_the_alternative():
+    cfg = AnalysisConfig(prior_preset="medium", alternative="less")
+    assert cfg.prior == CauchyPrior.from_preset("medium", "less")
+    assert AnalysisConfig(prior_scale=0.3, alternative="greater").prior == CauchyPrior(0.3, "greater")
+    assert AnalysisConfig().prior == CauchyPrior(1.0)
+    with pytest.raises(InvalidArgumentError, match="unknown prior preset"):
+        AnalysisConfig(prior_preset="narrow")
+
+
+@pytest.mark.parametrize("alternative", ["two-sided", "greater", "less"])
+def test_analysis_reads_one_prior(alternative):
+    # the posterior grid, the prior grid and the Bayes factor share one prior
+    config = AnalysisConfig(alternative=alternative)
+    stats = SufficientStats(t=1.5, df=98, n_eff=25.0, n1=50, n2=50)
+    analysis = analyze(stats, config)
+    assert analysis.prior.alternative == config.alternative
+    assert np.array_equal(analysis.prior_grid.densities,
+                          analysis.prior.density(analysis.posterior.points))
+    assert analysis.bayes_factor() == jzs_bayes_factor(stats, analysis.prior)
+
+
+@pytest.mark.parametrize("hpd_mass, label", [
+    (0.57, "57% HPD"), (0.29, "29% HPD"), (0.58, "58% HPD"), (0.975, "97.5% HPD"),
+    (0.95, "95% HPD"),
+])
+def test_text_report_labels_the_hpd_mass(hpd_mass, label):
+    stats = SufficientStats(t=2.0, df=98, n_eff=25.0, n1=50, n2=50)
+    text = analyze(stats, AnalysisConfig(hpd_mass=hpd_mass)).report().to_text()
+    assert f"\n{label}: [" in text
 
 
 def test_config_round_trip():

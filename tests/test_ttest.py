@@ -81,6 +81,14 @@ def test_cohen_d_reference_moments():
     assert cohen_d(data) == pytest.approx(0.5999, abs=5e-4)
 
 
+def test_group_moments_are_the_numpy_moments_bit_for_bit():
+    rng = np.random.default_rng(5)
+    data = TwoSampleData(rng.normal(1.0, 2.0, 1001), rng.normal(0.3, 0.5, 77))
+    for (mean, var), group in zip(data.moments, (data.group1, data.group2)):
+        assert (mean, var) == (group.mean(), group.var(ddof=1))
+        assert math.sqrt(var) == group.std(ddof=1)
+
+
 def test_cohen_d_identical_groups():
     g = [1.0, 2.0, 3.0]
     assert cohen_d(TwoSampleData(g, g)) == 0.0
@@ -380,9 +388,23 @@ def test_nct_extreme_t_statistic_still_evaluates():
 
 
 def test_posterior_grid_one_sided():
-    grid = posterior_density_grid(_stats(2.0), CauchyPrior(1.0), alternative="greater")
+    grid = posterior_density_grid(_stats(2.0), CauchyPrior(1.0, "greater"))
     assert grid.support[0] == 0.0
     assert grid.total_mass() == pytest.approx(1.0, abs=1e-6)
+
+
+def test_posterior_grid_honours_explicit_one_sided_bounds():
+    # the bounds stay as given inside the half-line; only the edge that lies
+    # inside the support has a margin, which still refuses a clipping grid
+    for t, alternative, bounds in ((10.0, "greater", (0.5, 2.0)), (-10.0, "less", (-2.0, -0.5))):
+        prior = CauchyPrior(1.0, alternative)
+        grid = posterior_density_grid(_stats(t, 200), prior, *bounds)
+        assert grid.support == bounds
+        with pytest.raises(TruncatedSupportError):
+            posterior_density_grid(_stats(t / 5.0, 50), prior, *bounds)
+    # a bound beyond the support is clamped to its end
+    grid = posterior_density_grid(_stats(-10.0, 200), CauchyPrior(1.0, "less"), -2.0, 0.5)
+    assert grid.support == (-2.0, 0.0)
 
 
 # ---------------------------------------------------------------- bayes factor
@@ -413,15 +435,15 @@ def test_bf_one_sided_splits_two_sided():
     # predictive density under H1 averages the two half-line predictives
     st = _stats(2.0)
     two = jzs_bayes_factor(st, CauchyPrior(1.0)).bf01
-    gt = jzs_bayes_factor(st, CauchyPrior(1.0), alternative="greater").bf01
-    lt = jzs_bayes_factor(st, CauchyPrior(1.0), alternative="less").bf01
+    gt = jzs_bayes_factor(st, CauchyPrior(1.0, "greater")).bf01
+    lt = jzs_bayes_factor(st, CauchyPrior(1.0, "less")).bf01
     assert 1 / two == pytest.approx(0.5 / gt + 0.5 / lt, rel=1e-9)
     assert gt < two < lt  # data with t > 0 favour the matching direction
 
 
 def test_bf_one_sided_matches_scipy_oracle():
     st = _stats(2.0)
-    mine = jzs_bayes_factor(st, CauchyPrior(1.0), alternative="greater").bf01
+    mine = jzs_bayes_factor(st, CauchyPrior(1.0, "greater")).bf01
     from scipy import integrate
     half_prior = lambda d: sps.nct.pdf(2.0, 98, d * 5.0) * 2.0 * sps.cauchy.pdf(d)
     m1, _ = integrate.quad(half_prior, 0, np.inf, epsabs=0, epsrel=1e-11, limit=500)
@@ -484,7 +506,7 @@ def test_bf_one_sided_matches_skew_t_oracle(n1, n2):
         for t in ONE_SIDED_TS:
             st = _design_stats(n1, n2, t)
             for alternative in ("greater", "less"):
-                bf = jzs_bayes_factor(st, CauchyPrior(scale), alternative)
+                bf = jzs_bayes_factor(st, CauchyPrior(scale, alternative))
                 oracle = _oracle_one_sided_log_bf01(t, n1, n2, scale, alternative)
                 assert bf.log_bf01 == pytest.approx(oracle, abs=1e-9), (scale, t, alternative)
 
@@ -494,14 +516,14 @@ def test_bf_one_sided_reflection_and_two_sided_identity(n1, n2):
     # `less` at t is `greater` at -t, and the two-sided predictive density
     # averages the two one-sided ones (Morey & Wagenmakers 2014)
     for scale in ONE_SIDED_SCALES:
-        prior = CauchyPrior(scale)
+        gt_prior, lt_prior = CauchyPrior(scale, "greater"), CauchyPrior(scale, "less")
         for t in ONE_SIDED_TS:
             st = _design_stats(n1, n2, t)
-            greater = jzs_bayes_factor(st, prior, "greater")
-            less = jzs_bayes_factor(st, prior, "less")
-            assert jzs_bayes_factor(_design_stats(n1, n2, -t), prior, "less") == greater
+            greater = jzs_bayes_factor(st, gt_prior)
+            less = jzs_bayes_factor(st, lt_prior)
+            assert jzs_bayes_factor(_design_stats(n1, n2, -t), lt_prior) == greater
             log_bf10 = np.logaddexp(-greater.log_bf01, -less.log_bf01) - math.log(2.0)
-            two = jzs_bayes_factor(st, prior)
+            two = jzs_bayes_factor(st, CauchyPrior(scale))
             assert log_bf10 == pytest.approx(-two.log_bf01, abs=1e-9), (scale, t)
 
 
@@ -509,7 +531,7 @@ def test_bf_one_sided_underflow_raises_named_error():
     # every noncentral-t density at t = -45 and a positive effect underflows
     st = _design_stats(10_000, 10_000, -45.0)
     with pytest.raises(FloatRangeError, match="greater predictive density of t underflows"):
-        jzs_bayes_factor(st, CauchyPrior(0.707), "greater")
+        jzs_bayes_factor(st, CauchyPrior(0.707, "greater"))
 
 
 def _oracle_two_sided_bf01(t, n1, n2, scale):
@@ -558,25 +580,32 @@ def test_bf_outside_double_range_raises_named_error():
         jzs_bayes_factor(st, CauchyPrior.from_preset("medium"))
 
 
+def test_prior_support_is_the_closed_half_line():
+    assert CauchyPrior(1.0).support == (-math.inf, math.inf)
+    assert CauchyPrior(1.0, "greater").support == (0.0, math.inf)
+    assert CauchyPrior(1.0, "less").support == (-math.inf, 0.0)
+    # the half-line prior holds twice the Cauchy height at zero
+    assert CauchyPrior(2.0, "less").density(0.0) == 2 * CauchyPrior(2.0).density(0.0)
+
+
 def test_prior_on_grid_one_sided_truncation():
-    prior = CauchyPrior(1.0)
     points = np.linspace(-2.0, 2.0, 65)
-    full = prior.density(points)
-    assert np.array_equal(prior.on_grid(points).densities, full)
-    greater = prior.on_grid(points, "greater").densities
-    less = prior.on_grid(points, "less").densities
+    full = CauchyPrior(1.0).density(points)
+    assert np.array_equal(CauchyPrior(1.0).on_grid(points).densities, full)
+    greater = CauchyPrior(1.0, "greater").on_grid(points).densities
+    less = CauchyPrior(1.0, "less").on_grid(points).densities
     assert np.array_equal(greater, np.where(points >= 0, 2 * full, 0.0))
     assert np.array_equal(less, np.where(points <= 0, 2 * full, 0.0))
     with pytest.raises(InvalidArgumentError):
-        prior.on_grid(points, "sideways")
+        CauchyPrior(1.0, "sideways")
 
 
 def test_one_sided_savage_dickey_matches_analytic_through_library():
     # the library path: posterior and prior grid of the same alternative
-    st, prior = _stats(1.5), CauchyPrior(1.0)
-    posterior = posterior_density_grid(st, prior, alternative="greater")
-    sd = savage_dickey_bf(posterior, prior.on_grid(posterior.points, "greater"), 0.0)
-    analytic = jzs_bayes_factor(st, prior, alternative="greater").bf01
+    st, prior = _stats(1.5), CauchyPrior(1.0, "greater")
+    posterior = posterior_density_grid(st, prior)
+    sd = savage_dickey_bf(posterior, prior.on_grid(posterior.points), 0.0)
+    analytic = jzs_bayes_factor(st, prior).bf01
     assert analytic == pytest.approx(1.2296, abs=1e-4)
     assert sd == pytest.approx(analytic, rel=0.01)
 
