@@ -61,6 +61,11 @@ class Thresholds:
                 raise InvalidArgumentError(f"threshold {name} must lie in (0, 1)")
 
 
+def _is_number(value: Any) -> bool:
+    """JSON's true and false are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Everything one analysis run depends on besides the data."""
@@ -100,8 +105,7 @@ class AnalysisConfig:
         """The Cauchy prior of the alternative, with its scale resolved."""
         if self.prior_preset is not None:
             return CauchyPrior.from_preset(self.prior_preset, self.alternative)
-        scale = 1.0 if self.prior_scale is None else self.prior_scale
-        return CauchyPrior(scale, self.alternative)
+        return CauchyPrior(1.0 if self.prior_scale is None else self.prior_scale, self.alternative)
 
     def to_dict(self) -> dict[str, Any]:
         """Round-trippable form: only one of prior_scale/prior_preset is set."""
@@ -124,11 +128,18 @@ class AnalysisConfig:
         """Report form: the prior scale is always resolved to a number."""
         return {**self.to_dict(), "prior_scale": self.prior.scale}
 
-    # each config key, with what it holds in JSON
+    # each config key: what it holds in JSON, and the test of that
     _KEYS = {
-        "prior_scale": "a number", "prior_preset": "a string", "rope": "a pair of numbers",
-        "hpd_mass": "a number", "null_value": "a number", "alternative": "a string",
-        "grid_size": "an integer", "thresholds": "an object of numbers",
+        "prior_scale": ("a number", _is_number),
+        "prior_preset": ("a string", lambda v: isinstance(v, str)),
+        "rope": ("a pair of numbers",
+                 lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))),
+        "hpd_mass": ("a number", _is_number),
+        "null_value": ("a number", _is_number),
+        "alternative": ("a string", lambda v: isinstance(v, str)),
+        "grid_size": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
+        "thresholds": ("an object of numbers",
+                       lambda v: isinstance(v, dict) and all(map(_is_number, v.values()))),
     }
 
     @classmethod
@@ -136,36 +147,21 @@ class AnalysisConfig:
         """The config of a JSON object; a null value keeps the default."""
         unknown = set(raw) - set(cls._KEYS)
         if unknown:
-            raise InvalidArgumentError(
-                f"unknown config key(s): {', '.join(sorted(unknown))}"
-            )
+            raise InvalidArgumentError(f"unknown config key(s): {', '.join(sorted(unknown))}")
         kwargs = {k: v for k, v in raw.items() if v is not None}
         for key, value in kwargs.items():
-            if not _holds(cls._KEYS[key], value):
-                raise InvalidArgumentError(f"config key {key!r} must be {cls._KEYS[key]}")
+            kind, holds = cls._KEYS[key]
+            if not holds(value):
+                raise InvalidArgumentError(f"config key {key!r} must be {kind}")
         if "rope" in kwargs:
             kwargs["rope"] = Rope(*map(float, kwargs["rope"]))
         if "thresholds" in kwargs:
             thr = kwargs["thresholds"]
             extra = set(thr) - {"pd", "p_map", "ev"}
             if extra:
-                raise InvalidArgumentError(
-                    f"unknown threshold key(s): {', '.join(sorted(extra))}"
-                )
+                raise InvalidArgumentError(f"unknown threshold key(s): {', '.join(sorted(extra))}")
             kwargs["thresholds"] = Thresholds(**thr)
         return cls(**kwargs)
-
-
-def _holds(kind: str, value: Any) -> bool:
-    """Whether a JSON value is of the kind `AnalysisConfig._KEYS` names;
-    JSON's true and false are not numbers."""
-    if kind == "a pair of numbers":
-        return (isinstance(value, list) and len(value) == 2
-                and all(_holds("a number", v) for v in value))
-    if kind == "an object of numbers":
-        return isinstance(value, dict) and all(_holds("a number", v) for v in value.values())
-    kinds = {"a string": str, "an integer": int}.get(kind, (int, float))
-    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def package_versions() -> dict[str, str]:

@@ -162,12 +162,12 @@ class CauchyPrior:
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
-        g = self.scale
-        density = 1.0 / (math.pi * g * (1.0 + (x / g) ** 2))
+        density = 1.0 / (math.pi * self.scale * (1.0 + (x / self.scale) ** 2))
         if self.alternative == TWO_SIDED:
             return density
         lo, hi = self.support
-        return np.where((lo <= x) & (x <= hi), 2.0 * density, 0.0)
+        # a product, not np.where, so a scalar gives a numpy float either way
+        return density * np.where((lo <= x) & (x <= hi), 2.0, 0.0)
 
     def on_grid(self, points: np.ndarray) -> DensityGrid:
         """Tabulate the prior density on the points.
@@ -727,11 +727,11 @@ def posterior_density_grid(
     or more of the posterior mass a TruncatedSupportError is raised.
 
     The clipped mass comes from `_MARGIN_POINTS` points on the margin
-    beyond each such edge, a quarter of the range wide. The margins feed
-    only that 0.1% test, never an index, so they need the share to some
-    percent, not to the kernel's 1e-12: near the limit 64 points came within
-    about 15% of a 2^14-point margin, and no design of a random sweep was
-    decided differently.
+    beyond each such edge, a quarter of the range wide but ending at the
+    support's end. The margins feed only that 0.1% test, never an index, so
+    they need the share to some percent, not to the kernel's 1e-12: near the
+    limit 64 points came within about 15% of a 2^14-point margin, and no
+    design of a random sweep was decided differently.
     """
     if grid_size < 64:
         raise InvalidArgumentError("grid_size must be at least 64")
@@ -756,12 +756,16 @@ def posterior_density_grid(
     # estimate the clipped tail with margin extensions of a quarter range,
     # evaluated with the core grid in one noncentral-t call
     margin = 0.25 * (hi - lo)
-    left = np.linspace(lo - margin, lo, _MARGIN_POINTS) if lo > floor else points[:0]
-    right = np.linspace(hi, hi + margin, _MARGIN_POINTS) if hi < ceiling else points[:0]
+    outer_lo, outer_hi = max(lo - margin, floor), min(hi + margin, ceiling)
+    left = np.linspace(outer_lo, lo, _MARGIN_POINTS) if lo > floor else points[:0]
+    right = np.linspace(hi, outer_hi, _MARGIN_POINTS) if hi < ceiling else points[:0]
     everywhere = np.concatenate((points, left, right))
+    # all points lie in the support, where a half-line prior is twice the
+    # Cauchy density; normalization cancels the 2, and leaving it out keeps a
+    # subnormal mass that rounds to 0 refused instead of a wrong grid
     unnormalized = noncentral_t_pdf(
         stats.t, stats.df, everywhere * math.sqrt(stats.n_eff)
-    ) * prior.density(everywhere)
+    ) * CauchyPrior(prior.scale).density(everywhere)
     values, left_values, right_values = np.split(unnormalized, [grid_size, grid_size + left.size])
     mass_core = np.trapezoid(values, points)
     mass_left = float(np.trapezoid(left_values, left)) if left.size else 0.0

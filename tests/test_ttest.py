@@ -396,12 +396,23 @@ def test_posterior_grid_one_sided():
 def test_posterior_grid_honours_explicit_one_sided_bounds():
     # the bounds stay as given inside the half-line; only the edge that lies
     # inside the support has a margin, which still refuses a clipping grid
-    for t, alternative, bounds in ((10.0, "greater", (0.5, 2.0)), (-10.0, "less", (-2.0, -0.5))):
+    cases = ((10.0, "greater", (0.5, 2.0)), (10.0, "greater", (0.1, 2.0)),
+             (-10.0, "less", (-2.0, -0.5)))
+    for t, alternative, bounds in cases:
         prior = CauchyPrior(1.0, alternative)
         grid = posterior_density_grid(_stats(t, 200), prior, *bounds)
         assert grid.support == bounds
         with pytest.raises(TruncatedSupportError):
             posterior_density_grid(_stats(t / 5.0, 50), prior, *bounds)
+    # a margin nearer than a quarter range stops at zero, where the prior
+    # jumps: the reported share then matches a fine trapezoid on [0, 0.1]
+    st = _stats(3.0, 50)
+    x = np.linspace(0.0, 2.475, 2 ** 16)
+    product = noncentral_t_pdf(st.t, st.df, x * math.sqrt(st.n_eff)) / (1.0 + x * x)
+    clipped = x <= 0.1
+    share = np.trapezoid(product[clipped], x[clipped]) / np.trapezoid(product, x)
+    with pytest.raises(TruncatedSupportError, match=f"clips {share:.2%} "):
+        posterior_density_grid(st, CauchyPrior(1.0, "greater"), 0.1, 2.0)
     # a bound beyond the support is clamped to its end
     grid = posterior_density_grid(_stats(-10.0, 200), CauchyPrior(1.0, "less"), -2.0, 0.5)
     assert grid.support == (-2.0, 0.0)
@@ -586,6 +597,10 @@ def test_prior_support_is_the_closed_half_line():
     assert CauchyPrior(1.0, "less").support == (-math.inf, 0.0)
     # the half-line prior holds twice the Cauchy height at zero
     assert CauchyPrior(2.0, "less").density(0.0) == 2 * CauchyPrior(2.0).density(0.0)
+    # a scalar gives a numpy float under every alternative, on either side
+    for alternative in ("two-sided", "greater", "less"):
+        for x in (-1.0, 0.0, 1.0):
+            assert isinstance(CauchyPrior(2.0, alternative).density(x), np.float64)
 
 
 def test_prior_on_grid_one_sided_truncation():
