@@ -308,11 +308,15 @@ def fbst_evalue(
     _require_in_support(posterior, null_value, "null value")
     surprise = surprise_function(posterior, reference)
     s_star = float(np.interp(null_value, posterior.points, surprise))
-    # summed over the superlevel set itself, so that no evidence reads 0
-    # exactly and not 1 - (a sublevel mass rounded near 1)
-    ev_against = _clipped_level_mass(
-        posterior.points, posterior.densities, surprise, s_star, above=True
-    )
+    # the smaller of the superlevel and the sublevel mass is summed and the
+    # larger is its complement: no evidence reads 0 and all evidence 1
+    # exactly, and an e-value of 1/2 or more is exactly 1 - the sublevel mass
+    points, dens = posterior.points, posterior.densities
+    below = _clipped_level_mass(points, dens, surprise, s_star)
+    if below <= 0.5:
+        ev_against = 1.0 - below
+    else:
+        ev_against = _clipped_level_mass(points, dens, surprise, s_star, above=True)
     return FbstResult(
         ev_against=ev_against,
         ev_for=1.0 - ev_against,

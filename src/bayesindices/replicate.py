@@ -18,7 +18,7 @@ from typing import Any
 from .errors import ConvergenceError, InvalidArgumentError
 from .indices import Rope
 from .report import AnalysisConfig, analyze
-from .ttest import CauchyPrior, SufficientStats, jzs_bayes_factor
+from .ttest import DEFAULT_GRID_SIZE, CauchyPrior, SufficientStats, jzs_bayes_factor
 
 REFERENCE_N = 50
 REFERENCE_PRIOR_SCALE = 1.0
@@ -151,7 +151,7 @@ def calibrate_reference_t(
     )
 
 
-def reference_analysis(grid_size: int = 4096) -> dict[str, Any]:
+def reference_analysis(grid_size: int = DEFAULT_GRID_SIZE) -> dict[str, Any]:
     """Calibrated posterior grid plus every index the reference reports."""
     t_star = calibrate_reference_t()
     stats = SufficientStats(
@@ -260,7 +260,7 @@ class ReplicationReport:
 
 def run_replication(
     profile: str = "strict",
-    grid_size: int = 4096,
+    grid_size: int = DEFAULT_GRID_SIZE,
     reference: dict[str, tuple] | None = None,
 ) -> ReplicationReport:
     """Compare the calibrated analysis with the published reference values.

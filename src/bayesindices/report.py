@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .errors import BayesIndicesError, InvalidArgumentError
+from .errors import BayesIndicesError, FloatRangeError, InvalidArgumentError
 from .indices import (
     ALL_SCALES,
     Rope,
@@ -35,6 +35,7 @@ from .indices import (
 )
 from .posterior import DensityGrid, ReferenceFunction, grid_mean, map_estimate
 from .ttest import (
+    DEFAULT_GRID_SIZE,
     TWO_SIDED,
     BayesFactor,
     CauchyPrior,
@@ -76,7 +77,7 @@ class AnalysisConfig:
     hpd_mass: float = 0.95
     null_value: float = 0.0
     alternative: str = TWO_SIDED
-    grid_size: int = 4096
+    grid_size: int = DEFAULT_GRID_SIZE
     thresholds: Thresholds = field(default_factory=Thresholds)
 
     def __post_init__(self):
@@ -333,6 +334,10 @@ def run_all_indices(
     def savage_dickey():
         bf01 = savage_dickey_bf(posterior, prior, null)
         bf10 = 1.0 / bf01
+        if math.isinf(bf10):
+            raise FloatRangeError(
+                f"Savage-Dickey bf10 = 1/{bf01:.3g} is outside the double-precision range"
+            )
         labels = {
             scale.name: {"label": cat.label, "direction": cat.direction}
             for scale in ALL_SCALES
@@ -461,7 +466,10 @@ def analyze(stats: SufficientStats, config: AnalysisConfig) -> Analysis:
     """Build the prior and the posterior and prior grids for ``stats`` and
     run the index block on them."""
     prior = config.prior
-    posterior = posterior_density_grid(stats, prior, grid_size=config.grid_size)
+    posterior = posterior_density_grid(
+        stats, prior, grid_size=config.grid_size,
+        anchors=(config.null_value, config.rope.lower, config.rope.upper),
+    )
     prior_grid = prior.on_grid(posterior.points)
     return Analysis(config, stats, prior, posterior, prior_grid,
                     run_all_indices(posterior, prior_grid, config))

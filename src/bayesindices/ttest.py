@@ -47,8 +47,21 @@ PRIOR_PRESETS = {
     "ultrawide": math.sqrt(2.0),
 }
 
-DEFAULT_GRID_SIZE = 4096
+DEFAULT_GRID_SIZE = 2048
 DEFAULT_GRID_BOUND = 3.0
+# posterior grid layout (`_grid_points`): the share of the point budget
+# spread over the coarse base (the whole grid), over the fine segment
+# (_FINE_REACH widths around the likelihood) and over the prior-spike segment
+# (+-_SPIKE_REACH prior scales, laid only when the scale is below
+# _SPIKE_BELOW standard errors). Where segments overlap the densest wins, and
+# a point nearer than _MIN_GAP of the local spacing to another merges into it
+_BASE_SHARE = 0.4
+_FINE_SHARE = 0.4
+_SPIKE_SHARE = 0.2
+_FINE_REACH = 10.0
+_SPIKE_REACH = 30.0
+_SPIKE_BELOW = 3.0
+_MIN_GAP = 0.5
 # share of probability mass allowed beyond either grid edge, and the points
 # on each margin that estimate it
 TRUNCATION_LIMIT = 1e-3
@@ -477,7 +490,10 @@ def _shared_x_kernel(
     # reach on each side where the integrand has fallen by e^-_KERNEL_DROP:
     # with A = a w*^2, the drop at distance u is q (e^u - 1 - u) + A/2 (e^u - 1)^2
     # to the right, at least the Gaussian (A + q) u^2 / 2, and
-    # q (u - 1 + e^-u) + A/2 (1 - e^-u)^2 to the left, solved by Newton steps
+    # q (u - 1 + e^-u) + A/2 (1 - e^-u)^2 to the left, at most that. Newton
+    # steps start from the Gaussian reach and only shrink the right reach
+    # (that drop is convex, so they stay beyond its root) and only grow the
+    # left one
     right = width * math.sqrt(2.0 * _KERNEL_DROP)
     left = right.copy()
     for _ in range(3):
@@ -486,6 +502,10 @@ def _shared_x_kernel(
         drop = q * (left - one_e) + 0.5 * curv * one_e * one_e
         slope = one_e * (q + curv * e)
         left = np.maximum(left, left + (_KERNEL_DROP - drop) / slope)
+        e_1 = np.expm1(right)
+        drop = q * (e_1 - right) + 0.5 * curv * e_1 * e_1
+        slope = e_1 * (q + curv * (e_1 + 1.0))
+        right = np.minimum(right, right - (drop - _KERNEL_DROP) / slope)
     lo = s_peak - left
     hi = s_peak + right
     # groups of similar peak location, each a tenth of a typical window wide
@@ -711,14 +731,61 @@ def jzs_bayes_factor(stats: SufficientStats, prior: CauchyPrior) -> BayesFactor:
     return BayesFactor(math.exp(log_bf01), math.exp(-log_bf01), log_bf01, rel_error, slope)
 
 
+def _grid_points(
+    lo: float, hi: float, segments: list[tuple[float, float, float]],
+    anchors: tuple[float, ...], size: int,
+) -> np.ndarray:
+    """``size`` strictly increasing points from ``lo`` to ``hi``, uniform
+    between breaks, with the anchors that lie inside among them.
+
+    Each segment (a, b, share) asks for ``share`` of the budget spread
+    evenly over [a, b]. The point density at x is the largest any segment
+    asks for there, so segments abut rather than overlap. In the cumulative
+    density, scaled so that the grid's size - 1 gaps are unit steps, the
+    two ends and the anchors are knots, and an anchor nearer than _MIN_GAP
+    of a step to a knot kept before it, or to ``hi``, merges into that
+    knot. Each stretch between knots takes a whole number of steps, at
+    least one, and the longest takes up the rounding (a handful of anchors
+    leaves it most of the steps); its points are even in the cumulative
+    density. No gap is therefore below _MIN_GAP of the
+    local spacing: the MAP's three-point parabola and the HPD slopes divide
+    by gaps.
+    """
+    edges = np.sort(np.clip([lo, hi, *(e for a, b, _ in segments for e in (a, b))], lo, hi))
+    edges = edges[np.r_[True, edges[1:] > edges[:-1]]]
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    density = np.zeros(mid.size)
+    for a, b, share in segments:
+        density = np.maximum(density, np.where((a <= mid) & (mid <= b), share / (b - a), 0.0))
+    cum = np.concatenate(([0.0], np.cumsum(density * np.diff(edges))))
+    cum *= (size - 1) / cum[-1]
+    knots, at = [lo], [0.0]
+    for x in sorted(set(anchors)):
+        c = float(np.interp(x, edges, cum))
+        if lo < x < hi and c - at[-1] >= _MIN_GAP and cum[-1] - c >= _MIN_GAP:
+            knots.append(x)
+            at.append(c)
+    knots.append(hi)
+    at.append(float(cum[-1]))
+    steps = np.maximum(np.rint(np.diff(at)), 1).astype(np.int64)
+    steps[np.argmax(steps)] += size - 1 - steps.sum()
+    even = [np.linspace(c0, c1, k, endpoint=False) for c0, c1, k in zip(at, at[1:], steps)]
+    points = np.interp(np.concatenate((*even, at[-1:])), cum, edges)
+    # the knots exactly, not as rounded by the two interpolations
+    points[np.r_[0, np.cumsum(steps)]] = knots
+    return points
+
+
 def posterior_density_grid(
     stats: SufficientStats,
     prior: CauchyPrior,
     grid_lo: float | None = None,
     grid_hi: float | None = None,
     grid_size: int = DEFAULT_GRID_SIZE,
+    anchors: tuple[float, ...] = (),
 ) -> DensityGrid:
-    """Normalized posterior density of the effect size on a regular grid.
+    """Normalized posterior density of the effect size on a piecewise-uniform
+    grid of ``grid_size`` points.
 
     The prior picks the form: the grid lies within its ``support``. With
     default bounds it starts at [-3, 3] and expands to cover [-2, 2] plus
@@ -726,12 +793,25 @@ def posterior_density_grid(
     honoured as given and checked: if an edge inside the support clips 0.1%
     or more of the posterior mass a TruncatedSupportError is raised.
 
+    The points follow the posterior (`_grid_points`): a coarse base over the
+    whole grid keeps wide small-sample posteriors dense; a fine segment
+    spans `_FINE_REACH` standard errors on either side of the likelihood
+    peak (or, when the peak lies beyond the support, of the support's end,
+    where the posterior decays over se^2 / distance); and a prior scale
+    below `_SPIKE_BELOW` standard errors adds a segment over +-`_SPIKE_REACH`
+    scales around the prior's spike. ``anchors`` (the null and the ROPE
+    edges) are grid points wherever they lie inside the grid.
+
     The clipped mass comes from `_MARGIN_POINTS` points on the margin
     beyond each such edge, a quarter of the range wide but ending at the
     support's end. The margins feed only that 0.1% test, never an index, so
     they need the share to some percent, not to the kernel's 1e-12: near the
     limit 64 points came within about 15% of a 2^14-point margin, and no
     design of a random sweep was decided differently.
+
+    A grid whose density peaks below the normal double range is refused
+    with a DegenerateDataError: its normalization would divide by a
+    subnormal mass.
     """
     if grid_size < 64:
         raise InvalidArgumentError("grid_size must be at least 64")
@@ -752,7 +832,13 @@ def posterior_density_grid(
             f"grid [{lo:g}, {hi:g}] is empty for a {prior.alternative} alternative"
         )
 
-    points = np.linspace(lo, hi, grid_size)
+    centre = min(max(d, floor), ceiling)
+    reach = _FINE_REACH * se * se / (se + abs(d - centre))
+    segments = [(lo, hi, _BASE_SHARE), (centre - reach, centre + reach, _FINE_SHARE)]
+    if prior.scale < _SPIKE_BELOW * se:
+        spike = _SPIKE_REACH * prior.scale
+        segments.append((-spike, spike, _SPIKE_SHARE))
+    points = _grid_points(lo, hi, segments, anchors, grid_size)
     # estimate the clipped tail with margin extensions of a quarter range,
     # evaluated with the core grid in one noncentral-t call
     margin = 0.25 * (hi - lo)
@@ -761,18 +847,20 @@ def posterior_density_grid(
     right = np.linspace(hi, outer_hi, _MARGIN_POINTS) if hi < ceiling else points[:0]
     everywhere = np.concatenate((points, left, right))
     # all points lie in the support, where a half-line prior is twice the
-    # Cauchy density; normalization cancels the 2, and leaving it out keeps a
-    # subnormal mass that rounds to 0 refused instead of a wrong grid
+    # Cauchy density; normalization cancels the 2
     unnormalized = noncentral_t_pdf(
         stats.t, stats.df, everywhere * math.sqrt(stats.n_eff)
     ) * CauchyPrior(prior.scale).density(everywhere)
+    peak = float(unnormalized.max())
+    if not peak >= np.finfo(float).tiny:
+        raise DegenerateDataError(
+            f"posterior density underflows on the requested grid (peak {peak:.3g})"
+        )
     values, left_values, right_values = np.split(unnormalized, [grid_size, grid_size + left.size])
     mass_core = np.trapezoid(values, points)
     mass_left = float(np.trapezoid(left_values, left)) if left.size else 0.0
     mass_right = float(np.trapezoid(right_values, right)) if right.size else 0.0
     total = mass_core + mass_left + mass_right
-    if total <= 0:
-        raise DegenerateDataError("posterior mass vanished on the requested grid")
     if mass_left / total >= TRUNCATION_LIMIT or mass_right / total >= TRUNCATION_LIMIT:
         raise TruncatedSupportError(
             f"grid [{lo:g}, {hi:g}] clips {(mass_left + mass_right) / total:.2%} "

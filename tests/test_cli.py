@@ -294,15 +294,38 @@ def test_analyze_text_format(sim_csv, capsys):
     assert "ROPE" in out
 
 
-def _csv_with_t(path, n, t, seed=0):
-    # two groups of n normal draws, group 1 shifted so the pooled t is t
+def _csv_with_t(path, n, t, seed=0, n2=None):
+    # groups of n and n2 (default n) normal draws, group 1 shifted so the
+    # pooled t is t
+    n2 = n if n2 is None else n2
     rng = np.random.default_rng(seed)
-    g1, g2 = rng.standard_normal(n), rng.standard_normal(n)
+    g1, g2 = rng.standard_normal(n), rng.standard_normal(n2)
     g1 -= g1.mean() - g2.mean()
-    sp = np.sqrt((g1.var(ddof=1) + g2.var(ddof=1)) / 2.0)
-    g1 += t * sp * np.sqrt(2.0 / n)
+    sp = np.sqrt(((n - 1) * g1.var(ddof=1) + (n2 - 1) * g2.var(ddof=1)) / (n + n2 - 2))
+    g1 += t * sp * np.sqrt(1.0 / n + 1.0 / n2)
     rows = [f"a,{float(v)!r}" for v in g1] + [f"b,{float(v)!r}" for v in g2]
     return write(path, "group,value\n" + "\n".join(rows) + "\n")
+
+
+def test_analyze_savage_dickey_beyond_double_range_is_a_named_failure(tmp_path, capsys):
+    # the Savage-Dickey bf01 is about 3e-312, so 1/bf01 overflows: the index
+    # fails on its own and the report, a valid JSON document, exits 0
+    path = _csv_with_t(tmp_path / "d.csv", 4488, -43.0, n2=185)
+    argv = ["analyze", path, "--prior-scale", "1.36", "--null-value", "-0.119",
+            "--rope", "-0.2", "0.0"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["errors"]["savage_dickey"].startswith("FloatRangeError: ")
+    assert report["indices"]["bf01_savage_dickey"] is None
+    assert report["indices"]["bf10_savage_dickey"] is None
+    assert report["indices"]["p_map"] is not None
+
+
+def test_analyze_grid_size_sets_the_grid_points(sim_csv, capsys):
+    for size in ("1024", "3000"):
+        assert main(["analyze", sim_csv, "--grid-size", size, "--alternative", "greater"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["diagnostics"]["grid_points"] == int(size)
 
 
 @pytest.mark.parametrize("alternative, log_bf01", [

@@ -218,9 +218,9 @@ def test_reference_analysis_is_the_hand_built_analysis(reference):
     # check did before it read `report.analyze`: bit for bit the same
     stats = reference["stats"]
     prior = CauchyPrior(replicate.REFERENCE_PRIOR_SCALE)
-    posterior = posterior_density_grid(stats, prior, grid_size=4096)
-    prior_grid = prior.on_grid(posterior.points)
     rope = replicate.REFERENCE_ROPE
+    posterior = posterior_density_grid(stats, prior, anchors=(0.0, rope.lower, rope.upper))
+    prior_grid = prior.on_grid(posterior.points)
     decision = rope_decision(posterior, rope, replicate.REFERENCE_HPD_MASS)
     peak = map_estimate(posterior)
     expected = {

@@ -348,8 +348,8 @@ def test_posterior_mode_shrinks_toward_zero():
 
 
 def test_posterior_grid_density_at_null_equals_bf_times_prior(reference):
-    # exact identity up to linear interpolation between grid nodes, whose
-    # relative overshoot at the null is O(h^2 f''/f) ~ 2e-5 at 4096 points
+    # exact identity up to the grid's normalization: the null is a grid
+    # point, so its density is read without interpolation
     assert reference["density_at_null"] == pytest.approx(
         reference["bf01_analytic"] / math.pi, rel=1e-4
     )
@@ -416,6 +416,89 @@ def test_posterior_grid_honours_explicit_one_sided_bounds():
     # a bound beyond the support is clamped to its end
     grid = posterior_density_grid(_stats(-10.0, 200), CauchyPrior(1.0, "less"), -2.0, 0.5)
     assert grid.support == (-2.0, 0.0)
+
+
+def _unbalanced(t, n1, n2):
+    return SufficientStats(t=t, df=n1 + n2 - 2, n_eff=n1 * n2 / (n1 + n2), n1=n1, n2=n2)
+
+
+_LAYOUT_DESIGNS = [(3, 3, 2.5, 0.707), (50, 50, 2.0, 1e-3), (2000, 2000, 2.0, 0.707),
+                   (10**5, 10**5, 3.0, 0.707), (30, 3000, -5.0, 3.0), (200, 200, -4.0, 1.0)]
+
+
+@pytest.mark.parametrize("alternative, bounds", [
+    ("two-sided", None), ("greater", None), ("less", None),
+    ("two-sided", (-1.5, 2.5)), ("greater", (-1.0, 2.5)), ("less", (-2.5, 1.0)),
+])
+@pytest.mark.parametrize("size", [64, 1000, 2048])
+def test_posterior_grid_layout(alternative, bounds, size):
+    # piecewise uniform, strictly increasing, exactly grid_size points, within
+    # the support and the bounds, with the null and the ROPE edges as points
+    anchors = (0.0, -0.1, 0.1)
+    prior_support = CauchyPrior(1.0, alternative).support
+    for n1, n2, t, scale in _LAYOUT_DESIGNS:
+        prior = CauchyPrior(scale, alternative)
+        try:
+            grid = posterior_density_grid(_unbalanced(t, n1, n2), prior,
+                                          *(bounds or ()), grid_size=size, anchors=anchors)
+        except TruncatedSupportError:
+            assert bounds is not None
+            continue
+        points = grid.points
+        assert points.size == size
+        gaps = np.diff(points)
+        assert np.all(gaps > 0)
+        assert prior_support[0] <= points[0] and points[-1] <= prior_support[1]
+        if bounds is not None:
+            assert points[0] == max(bounds[0], prior_support[0])
+            assert points[-1] == min(bounds[1], prior_support[1])
+        # 64 points over a range of 6 or more are coarser than the anchors'
+        # 0.1 separation, so there they merge
+        for x in anchors:
+            if points[0] <= x <= points[-1] and size >= 1000:
+                assert x in points, (n1, t, scale, x)
+        # a merged anchor's stretch keeps at least half a step and a
+        # neighbouring step is at most one and a half: no gap is below a
+        # third of the smallest other gap within three points
+        padded = np.r_[np.full(3, np.inf), gaps, np.full(3, np.inf)]
+        window = np.lib.stride_tricks.sliding_window_view(padded, 7).copy()
+        window[:, 3] = np.inf
+        assert np.all(gaps >= window.min(axis=1) / 3.0), (n1, t, scale)
+
+
+def test_posterior_grid_follows_the_posterior():
+    # at n = 2000/group the fine segment holds the likelihood: nearly half
+    # the points lie within 10 standard errors, against 1/30 at uniform
+    # spacing; a narrow prior adds its spike segment around zero
+    st = _stats(2.0, 2000)
+    d, se = 2.0 / math.sqrt(st.n_eff), math.sqrt(1.0 / st.n_eff)
+    points = posterior_density_grid(st, CauchyPrior(0.707)).points
+    assert np.mean(np.abs(points - d) <= 10.0 * se) > 0.4
+    points = posterior_density_grid(_stats(2.0, 50), CauchyPrior(1e-3)).points
+    assert np.mean(np.abs(points) <= 0.03) > 0.15
+
+
+def test_posterior_grid_merges_anchors_closer_than_half_a_step():
+    # two anchors 1e-9 apart: the later one merges into the earlier one
+    st = _stats(2.0)
+    grid = posterior_density_grid(st, CauchyPrior(1.0), grid_size=512,
+                                  anchors=(0.05, 0.05 + 1e-9, 0.3))
+    assert 0.05 in grid.points and 0.05 + 1e-9 not in grid.points and 0.3 in grid.points
+    assert grid.points.size == 512
+    assert np.diff(grid.points).min() > 1e-3
+
+
+@pytest.mark.parametrize("n1, n2, t, alternative, scale", [
+    (3, 2536, 44.5, "less", 4.37),
+    (2872, 5, -43.7, "greater", 0.46),
+    (81, 12189, -39.6, "greater", 0.035),
+])
+def test_posterior_grid_refuses_a_subnormal_density(n1, n2, t, alternative, scale):
+    # the linear product of noncentral t and prior peaks below the normal
+    # range (about 1e-319): normalizing it read rope_mass_total 1.155 and
+    # 1.017 for the first two designs at exit 0
+    with pytest.raises(DegenerateDataError, match="underflows"):
+        posterior_density_grid(_unbalanced(t, n1, n2), CauchyPrior(scale, alternative))
 
 
 # ---------------------------------------------------------------- bayes factor
