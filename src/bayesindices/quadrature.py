@@ -2,9 +2,8 @@
 
 Both schemes are Gauss-Legendre rules on log-space integrands:
 
-- a fixed rule over consecutive panels (`log_gauss_legendre`), which every
-  Bayes factor uses: the caller places the panel edges where its integrand
-  changes, and the half rule on the same panels gives the error, and
+- a fixed rule on one interval (`log_gauss_legendre`), which every Bayes
+  factor uses, with the half rule on the same interval for the error, and
 - a node-doubling integrator for batches of integrands sharing one
   functional form (`batched_log_integral`), which is what the noncentral-t
   evaluation needs when it runs over a whole parameter grid at once.
@@ -77,22 +76,22 @@ def _nested_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def log_gauss_legendre(
     log_f: Callable[[np.ndarray], np.ndarray],
-    edges,
+    lo: float,
+    hi: float,
     n: int,
     *,
     log_scale: float = 0.0,
     weighted_mean: bool = False,
 ) -> tuple[float, ...]:
-    """log of exp(log_scale) times the integral of exp(log_f) over
-    [edges[0], edges[-1]], with its relative error estimate.
+    """log of exp(log_scale) times the integral of exp(log_f) over [lo, hi],
+    with its relative error estimate.
 
-    Each panel between consecutive edges gets an n-node Gauss-Legendre rule;
-    the n/2-node rule on the same panels gives the error, floored at the
-    rounding of the sum. ``log_f`` is called once, on a (panels, n + n/2)
-    matrix holding the abscissae of both rules, and -inf maps to an
-    integrand of zero. Each rule's sum is shifted by its largest term, so
-    the integrand may lie far outside the double range as long as its log
-    does not. The value is -inf when the integrand is zero at every node.
+    The n-node Gauss-Legendre rule gives the value and the n/2-node rule
+    the error, floored at the rounding of the sum. ``log_f`` is called once,
+    on the abscissae of both rules; -inf maps to an integrand of zero. Each
+    rule's sum is shifted by its largest term, so the integrand may lie far
+    outside the double range as long as its log does not. The value is -inf
+    when the integrand is zero at every node.
 
     With ``weighted_mean``, ``log_f`` returns a pair: the log integrand and
     a second array h of the same shape. The result then gains a third item,
@@ -101,13 +100,9 @@ def log_gauss_legendre(
     log_f with respect to a parameter, that mean is the derivative of the
     log integral, from the same pass.
     """
-    edges = np.asarray(edges, dtype=float)
     u, w_fine, w_coarse = _nested_rule(n)
-    lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
-    nodes = np.multiply.outer(half, u)
-    nodes += 0.5 * (hi + lo)[:, None]
-    values = log_f(nodes)
+    values = log_f(half * u + 0.5 * (hi + lo))
     if weighted_mean:
         values, h = values
 
@@ -116,13 +111,13 @@ def log_gauss_legendre(
         if peak == -math.inf:
             return peak, math.nan
         p = np.exp(v - peak)
-        total = float(half @ (p @ w))
-        mean = math.nan if h is None else float(half @ ((p * h) @ w)) / total
+        total = half * float(p @ w)
+        mean = math.nan if h is None else half * float((p * h) @ w) / total
         return peak + math.log(total) + log_scale, mean
 
-    value, mean = log_sum(values[:, :n], w_fine, h[:, :n] if weighted_mean else None)
-    coarse, _ = log_sum(values[:, n:], w_coarse)
-    error = max(abs(math.expm1(coarse - value)), half.size * n * sys.float_info.epsilon)
+    value, mean = log_sum(values[:n], w_fine, h[:n] if weighted_mean else None)
+    coarse, _ = log_sum(values[n:], w_coarse)
+    error = max(abs(math.expm1(coarse - value)), n * sys.float_info.epsilon)
     return (value, error, mean) if weighted_mean else (value, error)
 
 

@@ -9,10 +9,10 @@ delta to one-dimensional numerics:
     bf01 = central_t_pdf(t; df) / integral nct_pdf(t; df, delta * sqrt(n_eff)) prior(delta) d delta
     p(delta | t) proportional to nct_pdf(t; df, delta * sqrt(n_eff)) * prior(delta)
 
-Two-sided Bayes factors use the equivalent g-mixture form of the Cauchy
-prior (Rouder et al. 2009), which needs no inner noncentral-t quadrature.
-One-sided ones integrate the noncentral-t form over the half-line prior.
-Both are fixed Gauss-Legendre rules in log space, and both return log bf01.
+Bayes factors use the equivalent g-mixture form of the Cauchy prior (Rouder
+et al. 2009), times a Student-t CDF under a one-sided prior: one fixed
+Gauss-Legendre rule in log space that returns log bf01 and needs no
+noncentral t, whose one production caller is the posterior grid.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import (
+    ConvergenceError,
     DegenerateDataError,
     FloatRangeError,
     InvalidArgumentError,
@@ -67,7 +68,7 @@ _MIN_GAP = 0.5
 TRUNCATION_LIMIT = 1e-3
 _MARGIN_POINTS = 64
 
-# two-sided Bayes factor: Gauss-Legendre nodes in x = log g, and the reach of
+# Bayes factor: Gauss-Legendre nodes in x = log g, and the reach of
 # the bracket below the prior peak (the integrand falls like exp(-e^-x / 2)
 # there, below e^-70 at -5) and above it and the likelihood knee (it falls
 # like e^-x)
@@ -76,11 +77,11 @@ _GM_BELOW = 5.0
 _GM_ABOVE = 45.0
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
-# one-sided Bayes factor: panel edges around the likelihood peak, in
-# standard errors, and Gauss-Legendre nodes per panel
-_H1_REACH = np.array([0.5, 2.0, 5.0, 10.0, 20.0, 40.0])
-_H1_NODES = 32
-_LOG_2_OVER_PI = math.log(2.0 / math.pi)
+_LOG_2 = math.log(2.0)
+# Student-t CDF: continued-fraction stop (steps jitter at 3e-14 at nu ~ 1e5,
+# so 1e-14 would never stop) and the step cap
+_CF_TOL = 1e-13
+_CF_MAX_STEPS = 200
 # noncentral t: a point whose peak log density lies below this is exactly 0
 _LOG_DEAD = -800.0
 # shared-x kernel (`_shared_x_kernel`): trapezoid spacing in widths of the
@@ -203,13 +204,13 @@ class CauchyPrior:
 
 class BayesFactor(NamedTuple):
     """bf01 and bf10 with log bf01 and the relative error estimate of the
-    predictive density under the alternative.
+    g-mixture integral (`_g_mixture_log_bf10`), under every alternative.
 
     ``log_bf01_slope`` is d log bf01 / dy at fixed design and prior, with
     y = log(1 + t^2/df); log bf01 is close to linear in y, which makes the
     slope a Newton step for t calibration. Two-sided tests fill it from the
-    same g-mixture pass as the Bayes factor (`_g_mixture_log_bf10`); it is
-    None for one-sided ones.
+    same pass as the Bayes factor; it is None for one-sided ones, which t
+    calibration does not use.
     """
 
     bf01: float
@@ -267,6 +268,60 @@ def central_t_pdf(x, df: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _stirling_err(z: float) -> float:
+    """log Gamma(z) - ((z - 1/2) log z - z + log(2 pi)/2), the remainder of
+    Stirling's formula, without forming the O(z log z) terms at large z."""
+    if z < 10.0:
+        return math.lgamma(z) - ((z - 0.5) * math.log(z) - z + _HALF_LOG_2PI)
+    r = 1.0 / (z * z)
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / z
+
+
+def _log_student_t_cdf(z: np.ndarray, nu: float) -> np.ndarray:
+    """log of the Student-t CDF with ``nu`` degrees of freedom, far into
+    either tail. With x = nu / (nu + z^2), T(-|z|) = I_x(nu/2, 1/2) / 2.
+    Lentz's continued fraction (Numerical Recipes' betacf) gives
+    I_x(nu/2, 1/2) where z^2 > 3 and its complement I_(1-x)(1/2, nu/2)
+    elsewhere, point by point to _CF_TOL. Their shared prefactor
+    x^(nu/2) (1-x)^(1/2) / B(nu/2, 1/2) is taken in logs without O(nu)
+    cancellation: -(nu/2) log1p(z^2/nu) for (nu/2) log x, and Stirling's
+    remainders for log Gamma(nu/2 + 1/2) - log Gamma(nu/2).
+    """
+    z = np.asarray(z, dtype=float)
+    z2 = z * z
+    tail = z2 > 3.0
+    half_nu = 0.5 * nu
+    a, b = np.where(tail, half_nu, 0.5), np.where(tail, 0.5, half_nu)
+    x = np.where(tail, nu, z2) / (nu + z2)
+    log_gamma_ratio = (half_nu * math.log1p(0.5 / half_nu) + 0.5 * math.log(half_nu) - 0.5
+                       + _stirling_err(half_nu + 0.5) - _stirling_err(half_nu))
+    with np.errstate(divide="ignore"):
+        log_front = (-half_nu * np.log1p(z2 / nu) + 0.5 * np.log(z2 / (nu + z2))
+                     + log_gamma_ratio - 0.5 * math.log(math.pi) - np.log(a))
+    fraction, idx = np.empty_like(x), np.arange(x.size)
+    h = 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    c, d = np.ones_like(x), h.copy()
+    for m in range(1, _CF_MAX_STEPS + 1):
+        for aa in (m * (b - m) * x / ((a - 1.0 + 2 * m) * (a + 2 * m)),
+                   -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 1.0 + 2 * m))):
+            d = 1.0 / (1.0 + aa * d)
+            c = 1.0 + aa / c
+            step = d * c
+            h = h * step
+        done = np.abs(step - 1.0) < _CF_TOL
+        fraction[idx[done]] = h[done]
+        if done.all():
+            break
+        idx, h, c, d, a, b, x = (v[~done] for v in (idx, h, c, d, a, b, x))
+    else:
+        raise ConvergenceError(f"Student-t CDF at nu = {nu:g} did not converge")
+    log_i = log_front + np.log(fraction)
+    i = np.exp(log_i)
+    neg = z < 0.0
+    return np.where(tail, np.where(neg, log_i - _LOG_2, np.log1p(-0.5 * i)),
+                    np.log1p(np.where(neg, -i, i)) - _LOG_2)
+
+
 def _log_nct_scale(df: float) -> float:
     """log C(df) - df/2, where C(df) = df^(df/2) / (sqrt(2 pi) 2^(df/2-1) Gamma(df/2))
     is the constant of the scale mixture below and e^(-df/2) its kernel's peak.
@@ -274,13 +329,7 @@ def _log_nct_scale(df: float) -> float:
     Both logs grow like df; their difference comes from Stirling's series in
     closed form, so no O(df) terms cancel in floating point.
     """
-    z = 0.5 * df
-    if z < 10.0:
-        stirling_err = math.lgamma(z) - ((z - 0.5) * math.log(z) - z + _HALF_LOG_2PI)
-    else:
-        r = 1.0 / (z * z)
-        stirling_err = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / z
-    return 0.5 * math.log(2.0 * df) - 2.0 * _HALF_LOG_2PI - stirling_err
+    return 0.5 * math.log(2.0 * df) - 2.0 * _HALF_LOG_2PI - _stirling_err(0.5 * df)
 
 
 def _square_minus(v: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -311,10 +360,9 @@ def noncentral_t_pdf(x, df: float, ncp, *, rel_tol: float = 1e-12):
         pdf(x) = C(df) * integral_0^inf w^df exp(-((x^2+df) w^2 - 2 ncp x w + ncp^2) / 2) dw.
 
     ``x`` and ``ncp`` broadcast; ``df`` is a positive scalar. A scalar ``x``
-    with an array of ``ncp`` (a posterior grid, a Bayes-factor panel) is
-    evaluated on one shared node set (`_shared_x_kernel`); every point it
-    does not certify, and every other shape, takes the per-point path
-    (`_per_point_nct`).
+    with an array of ``ncp`` (a posterior grid) is evaluated on one shared
+    node set (`_shared_x_kernel`); every point it does not certify, and
+    every other shape, takes the per-point path (`_per_point_nct`).
     """
     if not df > 0:
         raise InvalidArgumentError("df must be positive")
@@ -619,9 +667,8 @@ def _effect_location(stats: SufficientStats) -> tuple[float, float]:
 
 def _g_mixture_log_bf10(
     stats: SufficientStats, prior: CauchyPrior
-) -> tuple[float, float, float]:
-    """Two-sided log bf10, its relative error and d log bf01 / dy, from one
-    pass.
+) -> tuple[float, float, float | None]:
+    """log bf10, its relative error and d log bf01 / dy, from one pass.
 
     The Cauchy prior is a normal scale mixture: delta ~ N(0, g * scale^2)
     with g ~ InvGamma(1/2, 1/2) (Rouder et al. 2009). Given g, t is
@@ -636,13 +683,18 @@ def _g_mixture_log_bf10(
     256-node Gauss-Legendre rule covers [-5, max(knee, 0) + 45]; the
     128-node rule on the same bracket gives the error.
 
-    With y = log(1 + t^2/df), the log integrand depends on t only through
-    (df + 1)/2 * (y - log(1 + (e^y - 1)/A)), whose y-derivative is the score
-    (df + 1)/2 * (A - 1)/(A + t^2/df). So d log bf01 / dy is -(df + 1)/2
-    times the mean of (A - 1)/(A + t^2/df) under the normalized fine-rule
-    weights, taken in the same pass; the score is written as
+    A one-sided prior is half-normal given g, which makes t a scaled skew-t
+    (Azzalini & Capitanio 2003; Morey & Wagenmakers 2014): the integrand
+    gains the factor 2 T_(df+1)(z), z = t sqrt((df + 1) / (df (1 + u) + t^2 u))
+    with u = e^-x / (n_eff scale^2) and t negated for `less`.
+
+    With y = log(1 + t^2/df), the two-sided log integrand depends on t only
+    through (df + 1)/2 * (y - log(1 + (e^y - 1)/A)), whose y-derivative is
+    the score (df + 1)/2 * (A - 1)/(A + t^2/df). So d log bf01 / dy is
+    -(df + 1)/2 times the mean of (A - 1)/(A + t^2/df) under the normalized
+    fine-rule weights, taken in the same pass; the score is written as
     n_eff scale^2 / (n_eff scale^2 + (1 + t^2/df) e^-x), so it reuses the
-    integrand's e^-x and cancels nothing.
+    integrand's e^-x and cancels nothing. One-sided tests get no slope.
     """
     df = float(stats.df)
     t2_df = stats.t * stats.t / df
@@ -650,6 +702,7 @@ def _g_mixture_log_bf10(
     ns2 = stats.n_eff * prior.scale * prior.scale
     knee = math.log(max(stats.t * stats.t, 1.0)) - log_ns2
     log_m0_ratio = math.log1p(t2_df)
+    t_side = -stats.t if prior.alternative == LESS else stats.t
 
     def log_f(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         e_neg = np.exp(-x)
@@ -660,70 +713,31 @@ def _g_mixture_log_bf10(
         )
         score = e_neg * (1.0 + t2_df)
         score += ns2
+        if prior.alternative != TWO_SIDED:
+            # z^2 = t^2 (df + 1) / (df (1 + u) + t^2 u) = t^2 (df + 1) ns2 / (df score)
+            z = t_side * np.sqrt((df + 1.0) / df * ns2 / score)
+            value += _LOG_2 + _log_student_t_cdf(z, df + 1.0)
         return value, np.divide(ns2, score, out=score)
 
-    edges = (-_GM_BELOW, max(knee, 0.0) + _GM_ABOVE)
     log_bf10, rel_error, score = quadrature.log_gauss_legendre(
-        log_f, edges, _GM_NODES, log_scale=-_HALF_LOG_2PI, weighted_mean=True
-    )
-    return log_bf10, rel_error, -0.5 * (df + 1.0) * score
-
-
-def _marginal_likelihood_h1(stats: SufficientStats, prior: CauchyPrior) -> tuple[float, float]:
-    """log predictive density of the observed t under a one-sided prior,
-    log m1, with its relative error estimate. For `greater`,
-
-        m1 = integral_0^inf nct_pdf(t; df, delta sqrt(n_eff)) 2 cauchy(delta; scale) d delta,
-
-    and `less` is the same integral at -t, as nct_pdf(t; df, ncp) equals
-    nct_pdf(-t; df, -ncp). The substitution delta = scale tan(u) turns the
-    half-line prior into the constant 2/pi on (0, pi/2). Panels in u end at
-    the likelihood peak d, at d -+ `_H1_REACH` standard errors and at the
-    half-decades between the standard error and the prior scale, wherever
-    these lie inside the half. Each panel gets `_H1_NODES` nodes, and the
-    nodes of both rules go to one noncentral-t call.
-    """
-    d, se = _effect_location(stats)
-    t = stats.t
-    if prior.alternative == LESS:
-        d, t = -d, -t
-    root_n = math.sqrt(stats.n_eff)
-    lo, hi = sorted((se, prior.scale))
-    decades = 10.0 ** (np.arange(math.ceil(2.0 * math.log10(lo)),
-                                 math.floor(2.0 * math.log10(hi)) + 1) / 2.0)
-    deltas = np.concatenate(([d], d - se * _H1_REACH, d + se * _H1_REACH, decades))
-    inside = np.arctan(deltas[deltas > 0.0] / prior.scale)
-    edges = np.unique(np.concatenate(([0.0], inside, [0.5 * math.pi])))
-
-    def log_f(u: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(noncentral_t_pdf(t, stats.df, prior.scale * np.tan(u) * root_n))
-
-    return quadrature.log_gauss_legendre(log_f, edges, _H1_NODES, log_scale=_LOG_2_OVER_PI)
+        log_f, -_GM_BELOW, max(knee, 0.0) + _GM_ABOVE, _GM_NODES, log_scale=-_HALF_LOG_2PI,
+        weighted_mean=True)
+    slope = -0.5 * (df + 1.0) * score if prior.alternative == TWO_SIDED else None
+    return log_bf10, rel_error, slope
 
 
 def jzs_bayes_factor(stats: SufficientStats, prior: CauchyPrior) -> BayesFactor:
     """Bayes factor for the point null against the Cauchy-prior alternative,
     as the ratio of predictive densities of the observed t statistic.
 
-    The prior picks the form: a two-sided prior integrates the g-mixture
-    form, a one-sided one the noncentral-t form over its half-line, divided
-    by the central-t density. Both integrals are fixed Gauss-Legendre rules
-    in log space (`quadrature.log_gauss_legendre`), whose half rule gives
-    the error estimate; the two-sided pass also gives ``log_bf01_slope``,
-    the derivative of log bf01 in y = log(1 + t^2/df). Raises
-    FloatRangeError when bf01 or bf10 is not a double, and when the
-    predictive density under the alternative underflows.
+    Every alternative takes one g-mixture pass (`_g_mixture_log_bf10`): a
+    fixed Gauss-Legendre rule in log space (`quadrature.log_gauss_legendre`)
+    whose half rule gives the error estimate. A two-sided test also gets
+    ``log_bf01_slope``, the derivative of log bf01 in y = log(1 + t^2/df).
+    Raises FloatRangeError when bf01 or bf10 is not a double.
     """
-    slope = None
-    if prior.alternative == TWO_SIDED:
-        log_bf10, rel_error, slope = _g_mixture_log_bf10(stats, prior)
-        log_bf01 = -log_bf10
-    else:
-        log_m1, rel_error = _marginal_likelihood_h1(stats, prior)
-        log_bf01 = float(_log_central_t_pdf(stats.t, stats.df)) - log_m1
-        if log_m1 == -math.inf:
-            raise FloatRangeError(f"the {prior.alternative} predictive density of t underflows")
+    log_bf10, rel_error, slope = _g_mixture_log_bf10(stats, prior)
+    log_bf01 = -log_bf10
     if not abs(log_bf01) < _LOG_DOUBLE_MAX:
         raise FloatRangeError(
             f"bf10 = exp({-log_bf01:.6g}) is outside the double-precision range"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy import integrate, special
 from scipy import stats as sps
 
 from bayesindices import (
@@ -544,6 +545,29 @@ def test_bf_one_sided_matches_scipy_oracle():
     assert mine == pytest.approx(sps.t.pdf(2.0, 98) / m1, rel=1e-8)
 
 
+def _oracle_log_t_cdf(nu, z):
+    """log of the Student-t CDF: scipy's stdtr, or where its value is below
+    e^-700, and so subnormal or zero, the log density at z plus the log of a
+    quad of the density in units of its value there."""
+    with np.errstate(divide="ignore"):
+        out = np.log(special.stdtr(nu, z))
+    if not np.any(out < -700.0):
+        return out
+    out = np.atleast_1d(out)
+    for i in np.flatnonzero(out < -700.0):
+        zi = float(np.ravel(z)[i])
+        assert zi < 0.0, "stdtr underflows only in the lower tail"
+        log1p_zi = math.log1p(zi * zi / nu)
+        # the tail beyond z decays about like exp(-rate * r) at distance r
+        rate = -zi * (nu + 1.0) / (nu + zi * zi)
+        pieces = (0.0, 50.0 / rate, math.inf)
+        mass = sum(integrate.quad(
+            lambda r: math.exp(-0.5 * (nu + 1.0) * (math.log1p((zi - r) ** 2 / nu) - log1p_zi)),
+            a, b, epsabs=0, epsrel=1e-13, limit=200)[0] for a, b in zip(pieces, pieces[1:]))
+        out[i] = sps.t.logpdf(zi, nu) + math.log(mass)
+    return out.reshape(np.shape(z))
+
+
 def _oracle_one_sided_log_bf01(t, n1, n2, scale, alternative):
     """log bf01 of a one-sided test from scipy.quad over x = log g.
 
@@ -551,9 +575,9 @@ def _oracle_one_sided_log_bf01(t, n1, n2, scale, alternative):
     scaled skew-t: with lam^2 = n_eff g scale^2, A = 1 + lam^2 and
     z = lam t sqrt((df + 1) / (A df + t^2)), the one-sided bf10 integrand is
     the two-sided g-mixture one times 2 T_{df+1}(z) (`greater`) or
-    2 T_{df+1}(-z) (`less`). A scan finds the integrand's peak; quad covers
-    the range where it lies within e^-60 of it."""
-    from scipy import integrate, special
+    2 T_{df+1}(-z) (`less`). A scan finds the integrand's local maxima;
+    quad covers the range where it lies within e^-60 of the highest, split
+    at each of them."""
     df, n_eff = n1 + n2 - 2, n1 * n2 / (n1 + n2)
     sign = 1.0 if alternative == "greater" else -1.0
 
@@ -565,18 +589,18 @@ def _oracle_one_sided_log_bf01(t, n1, n2, scale, alternative):
             log_lik_ratio = -0.5 * np.log(a) - 0.5 * (df + 1) * (
                 np.log1p(t * t / (a * df)) - math.log1p(t * t / df))
             z = sign * np.sqrt(lam2) * t * np.sqrt((df + 1) / (a * df + t * t))
-            # special.stdtr is the Student-t cdf that scipy.stats.t.cdf evaluates
             return (-0.5 * x - 0.5 * np.exp(-x) + log_lik_ratio - 0.5 * math.log(2 * math.pi)
-                    + math.log(2.0) + np.log(special.stdtr(df + 1, z)))
+                    + math.log(2.0) + _oracle_log_t_cdf(df + 1, z))
 
     xs = np.linspace(-150.0, 150.0, 3001)
     scan = log_f(xs)
-    k = int(np.argmax(scan))
-    peak = float(scan[k])
+    peak = float(scan.max())
     live = xs[scan > peak - 60.0]
+    maxima = xs[1:-1][(scan[1:-1] > scan[:-2]) & (scan[1:-1] >= scan[2:])
+                      & (scan[1:-1] > peak - 60.0)]
     total, _ = integrate.quad(lambda x: math.exp(float(log_f(x)) - peak),
-                              live.min() - 0.1, live.max() + 0.1, points=[xs[k]],
-                              epsabs=0, epsrel=1e-13, limit=500)
+                            live.min() - 0.1, live.max() + 0.1, points=maxima,
+                            epsabs=0, epsrel=1e-13, limit=500)
     return -(peak + math.log(total))
 
 
@@ -621,11 +645,77 @@ def test_bf_one_sided_reflection_and_two_sided_identity(n1, n2):
             assert log_bf10 == pytest.approx(-two.log_bf01, abs=1e-9), (scale, t)
 
 
-def test_bf_one_sided_underflow_raises_named_error():
-    # every noncentral-t density at t = -45 and a positive effect underflows
-    st = _design_stats(10_000, 10_000, -45.0)
-    with pytest.raises(FloatRangeError, match="greater predictive density of t underflows"):
-        jzs_bayes_factor(st, CauchyPrior(0.707, "greater"))
+# one-sided designs where scipy's stdtr underflows over much of the
+# integrand, with log bf01 from a 30-digit mpmath quadrature of the same
+# skew-t form, its Student-t CDF a quad of the density in units of its value
+# at z. Before the one-sided factor joined the g-mixture, the first two
+# raised "predictive density underflows" and the third was off by 1.3e-5
+ONE_SIDED_MPMATH = [
+    pytest.param(10_000, 10_000, -45.0, 0.707, "greater", 8.12242071278344, id="n10000-t-45"),
+    pytest.param(799, 81_048, -44.8, 0.707, "greater", 7.23223771116049, id="n799-81048-t-44.8"),
+    pytest.param(57_808, 330, 38.56, 0.0046, "less", 1.72905823671554, id="n57808-330-t38.56"),
+]
+
+
+@pytest.mark.parametrize("n1, n2, t, scale, alternative, reference", ONE_SIDED_MPMATH)
+def test_bf_one_sided_matches_mpmath_where_stdtr_underflows(n1, n2, t, scale, alternative,
+                                                            reference):
+    bf = jzs_bayes_factor(_design_stats(n1, n2, t), CauchyPrior(scale, alternative))
+    assert bf.log_bf01 == pytest.approx(reference, abs=1e-9)
+    assert bf.rel_error < 1e-9
+
+
+def test_one_sided_oracle_takes_the_tail_where_stdtr_underflows():
+    # stdtr is 0 for log g above about 8 here; dropping that tail read 1.7291835
+    oracle = _oracle_one_sided_log_bf01(38.56, 57_808, 330, 0.0046, "less")
+    assert oracle == pytest.approx(1.72905823671554, abs=1e-9)
+
+
+def test_bf_never_evaluates_the_noncentral_t(monkeypatch):
+    # every alternative is one g-mixture pass; the noncentral t served the
+    # one-sided panels, whose per-point fallbacks took 16-34 ms at n = 2/2
+    from bayesindices import ttest
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Bayes factor evaluated the noncentral t")
+
+    for name in ("noncentral_t_pdf", "_shared_x_kernel", "_per_point_nct"):
+        monkeypatch.setattr(ttest, name, refuse)
+    for n1, n2 in ((2, 2), (3, 34), (400, 400), (100_000, 100_000)):
+        for scale in (1e-3, 0.707, 1000.0):
+            for t in (0.0, 2.5, -6.0, 30.0):
+                for alternative in ("two-sided", "greater", "less"):
+                    jzs_bayes_factor(_design_stats(n1, n2, t), CauchyPrior(scale, alternative))
+
+
+def _mpmath_log_t_cdf(z, nu):
+    """log of the Student-t CDF at 40 digits. Each tail is a quad of the
+    density in units of its value at z, since an unshifted quad of a density
+    below e^-37000 loses digits."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        z, nu = mp.mpf(z), mp.mpf(nu)
+        log_c = mp.loggamma((nu + 1) / 2) - mp.loggamma(nu / 2) - mp.log(nu * mp.pi) / 2
+
+        def log_pdf(s):
+            return log_c - (nu + 1) / 2 * mp.log1p(s * s / nu)
+
+        if abs(z) <= 1:
+            return float(mp.log(mp.mpf(1) / 2 + mp.quad(lambda s: mp.exp(log_pdf(s)), [0, z])))
+        at = log_pdf(z)
+        tail = mp.quad(lambda r: mp.exp(log_pdf(abs(z) + r) - at), [0, abs(z), mp.inf])
+        return float(at + mp.log(tail)) if z < 0 else float(mp.log1p(-mp.exp(at) * tail))
+
+
+@pytest.mark.parametrize("nu", [3, 4, 11, 101, 1001, 20_001, 200_001])
+def test_log_student_t_cdf_matches_mpmath(nu):
+    from bayesindices.ttest import _log_student_t_cdf
+    zs = np.array([-1e4, -300.0, -45.0, -20.0, -5.0, -2.0, -1.8, -1.7, -1.0, 0.0, 1.7, 3.0, 10.0])
+    got = _log_student_t_cdf(zs, nu)
+    for z, value in zip(zs, got):
+        reference = _mpmath_log_t_cdf(z, nu)
+        assert abs(value - reference) <= 1e-11 * max(1.0, abs(reference)), (nu, z)
 
 
 def _oracle_two_sided_bf01(t, n1, n2, scale):
