@@ -1,12 +1,9 @@
-"""Quadrature routines used by the model layer.
+"""Gauss-Legendre quadrature for the model layer.
 
-Both schemes are Gauss-Legendre rules on log-space integrands:
-
-- a fixed rule on one interval (`log_gauss_legendre`), which every Bayes
-  factor uses, with the half rule on the same interval for the error, and
-- a node-doubling integrator for batches of integrands sharing one
-  functional form (`batched_log_integral`), which is what the noncentral-t
-  evaluation needs when it runs over a whole parameter grid at once.
+Every Bayes factor integrates a log-space integrand with a fixed rule on
+one interval (`log_gauss_legendre`) and takes its error from the half rule
+on the same interval. The rules' nodes and weights come from Newton's
+method on the Legendre recurrence (`gauss_legendre_nodes`).
 """
 
 from __future__ import annotations
@@ -120,52 +117,3 @@ def log_gauss_legendre(
     error = max(abs(math.expm1(coarse - value)), n * sys.float_info.epsilon)
     return (value, error, mean) if weighted_mean else (value, error)
 
-
-def batched_log_integral(
-    log_f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    *,
-    rel_tol: float | np.ndarray = 1e-12,
-    start_nodes: int = 64,
-    max_nodes: int = 4096,
-) -> np.ndarray:
-    """Integrate exp(log_f) over per-element brackets [lo_i, hi_i].
-
-    ``log_f(nodes, idx)`` receives an (m, n) matrix of abscissae (row k
-    inside [lo_i, hi_i] for i = idx[k]) plus the element indices, and
-    returns log-integrand values; -inf maps to an integrand of zero.
-    Node counts double, elements freezing as soon as their estimate is
-    stable to ``rel_tol`` (scalar, or one tolerance per element when the
-    caller knows its integrand's rounding noise floor). The caller is
-    expected to have centred the brackets so the integrand's peak is O(1).
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    tol = np.broadcast_to(np.asarray(rel_tol, dtype=float), lo.shape)
-    out = np.zeros(lo.shape, dtype=float)
-    idx = np.arange(lo.size)
-    prev: np.ndarray | None = None
-    n = start_nodes
-    while True:
-        u, w = gauss_legendre_nodes(n)
-        la, ha = lo[idx], hi[idx]
-        nodes = la[:, None] + (ha - la)[:, None] * (u[None, :] + 1.0) * 0.5
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = np.exp(log_f(nodes, idx))
-        vals = np.where(np.isfinite(vals), vals, 0.0)
-        cur = 0.5 * (ha - la) * (vals @ w)
-        if prev is not None:
-            settled = np.abs(cur - prev) <= tol[idx] * np.maximum(np.abs(cur), 1e-300)
-            out[idx[settled]] = cur[settled]
-            idx = idx[~settled]
-            prev = cur[~settled]
-            if idx.size == 0:
-                return out
-        else:
-            prev = cur
-        if n >= max_nodes:
-            raise ConvergenceError(
-                f"{idx.size} integral(s) not converged at {max_nodes} nodes"
-            )
-        n *= 2

@@ -33,7 +33,7 @@ from .indices import (
     rope_verdict,
     savage_dickey_bf,
 )
-from .posterior import DensityGrid, ReferenceFunction, grid_mean, map_estimate
+from .posterior import MIN_GRID_POINTS, DensityGrid, ReferenceFunction, grid_mean, map_estimate
 from .ttest import (
     DEFAULT_GRID_SIZE,
     TWO_SIDED,
@@ -89,8 +89,8 @@ class AnalysisConfig:
         floor, ceiling = self.prior.support
         if not 0.0 < self.hpd_mass < 1.0:
             raise InvalidArgumentError("hpd_mass must lie in (0, 1)")
-        if self.grid_size < 64:
-            raise InvalidArgumentError("grid_size must be at least 64")
+        if self.grid_size < MIN_GRID_POINTS:
+            raise InvalidArgumentError(f"grid_size must be at least {MIN_GRID_POINTS}")
         if not math.isfinite(self.null_value):
             raise InvalidArgumentError("null_value must be finite")
         if not self.rope.contains(self.null_value):

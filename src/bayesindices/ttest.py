@@ -32,7 +32,7 @@ from .errors import (
     InvalidArgumentError,
     TruncatedSupportError,
 )
-from .posterior import DensityGrid, normalize_grid
+from .posterior import MIN_GRID_POINTS, DensityGrid, normalize_grid
 
 TWO_SIDED = "two-sided"
 GREATER = "greater"
@@ -82,20 +82,23 @@ _LOG_2 = math.log(2.0)
 # so 1e-14 would never stop) and the step cap
 _CF_TOL = 1e-13
 _CF_MAX_STEPS = 200
-# noncentral t: a point whose peak log density lies below this is exactly 0
+# noncentral t: a point whose peak log density lies below _LOG_DEAD is
+# exactly 0; every other point is certified to _NCT_REL_TOL, or to the
+# rounding of its inputs where that is larger
 _LOG_DEAD = -800.0
-# shared-x kernel (`_shared_x_kernel`): trapezoid spacing in widths of the
-# narrowest integrand, the e-folds each window reaches beyond a peak, the
-# width of a group of peaks in typical windows, the node caps per window and
-# per call, and matrix elements per block. The reach and the group width
-# only set the cost: each point's own tail bound and half rule still
-# certify it, and a point they do not certify takes the per-point path.
+_NCT_REL_TOL = 1e-12
+# shared-node kernel (`_shared_node_kernel`): trapezoid spacing in widths of
+# the narrowest integrand, the e-folds each window reaches beyond a peak on
+# the first pass and on the one retry, the width of a group of peaks in
+# typical windows, the node cap of a group's shared window, and matrix
+# elements per block. The reach and the group width only set the cost: each
+# point's own tail bound and half rule still certify it.
 _KERNEL_STEP = 0.3
 _KERNEL_REFINE = 2
 _KERNEL_DROP = 32.0
+_KERNEL_RETRY_DROP = 45.0
 _KERNEL_GROUP = 0.1
 _KERNEL_MAX_NODES = 1024
-_LATTICE_MAX_NODES = 1 << 16
 _KERNEL_BLOCK = 1 << 17
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -332,15 +335,6 @@ def _log_nct_scale(df: float) -> float:
     return 0.5 * math.log(2.0 * df) - 2.0 * _HALF_LOG_2PI - _stirling_err(0.5 * df)
 
 
-def _square_minus(v: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """v*v - s without the rounding of v*v (Dekker's exact product)."""
-    split = 134217729.0 * v
-    hi = split - (split - v)
-    lo = v - hi
-    sq = v * v
-    return (sq - s) + ((hi * hi - sq) + 2.0 * hi * lo + lo * lo)
-
-
 def _kernel_gap(log_w: np.ndarray) -> np.ndarray:
     """(w^2 - 1)/2 - log w at w = e^log_w: how far the kernel w^df e^(-df w^2/2)
     lies below its peak at w = 1, in units of df."""
@@ -352,125 +346,42 @@ def _centered_log_peak(x, ncp: np.ndarray, log_w: np.ndarray, w: np.ndarray, df:
     return -df * _kernel_gap(log_w) - 0.5 * (ncp - x * w) ** 2
 
 
-def noncentral_t_pdf(x, df: float, ncp, *, rel_tol: float = 1e-12):
+def noncentral_t_pdf(x, df: float, ncp):
     """Noncentral Student-t density.
 
     Evaluates the scale-mixture representation
 
-        pdf(x) = C(df) * integral_0^inf w^df exp(-((x^2+df) w^2 - 2 ncp x w + ncp^2) / 2) dw.
+        pdf(x) = C(df) * integral_0^inf w^df exp(-((x^2+df) w^2 - 2 ncp x w + ncp^2) / 2) dw
 
-    ``x`` and ``ncp`` broadcast; ``df`` is a positive scalar. A scalar ``x``
-    with an array of ``ncp`` (a posterior grid) is evaluated on one shared
-    node set (`_shared_x_kernel`); every point it does not certify, and
-    every other shape, takes the per-point path (`_per_point_nct`).
+    on trapezoid nodes in log w shared by all points (`_shared_node_kernel`),
+    each point certified on its own. ``x`` and ``ncp`` broadcast; ``df`` is
+    a positive real. A point the kernel does not certify is retried once,
+    its window reaching e^-_KERNEL_RETRY_DROP instead of e^-_KERNEL_DROP
+    beyond its peak; a point still not certified raises ConvergenceError.
     """
-    if not df > 0:
-        raise InvalidArgumentError("df must be positive")
+    if not (math.isfinite(df) and df > 0):
+        raise InvalidArgumentError("df must be a positive real")
     x_arr = np.asarray(x, dtype=float)
     ncp_arr = np.asarray(ncp, dtype=float)
     if not (np.all(np.isfinite(x_arr)) and np.all(np.isfinite(ncp_arr))):
         raise InvalidArgumentError("x and ncp must be finite")
-    if x_arr.ndim == 0 and ncp_arr.ndim > 0:
-        nf = ncp_arr.reshape(-1)
-        out, done = _shared_x_kernel(float(x_arr), nf, float(df), rel_tol)
-        rest = np.flatnonzero(~done)
-        if rest.size:
-            out[rest] = _per_point_nct(np.full(rest.size, float(x_arr)), nf[rest], df, rel_tol)
-        return out.reshape(ncp_arr.shape)
-    scalar = x_arr.ndim == 0 and ncp_arr.ndim == 0
-    xb, nb = np.broadcast_arrays(np.atleast_1d(x_arr), np.atleast_1d(ncp_arr))
-    out = _per_point_nct(xb.reshape(-1), nb.reshape(-1), df, rel_tol).reshape(xb.shape)
-    return float(out.reshape(())) if scalar else out
-
-
-def _per_point_nct(xf: np.ndarray, nf: np.ndarray, df: float, rel_tol: float) -> np.ndarray:
-    """The density point by point: node-doubling Gauss-Legendre quadrature
-    after substituting w = v^2 (smooth at the origin), on a bracket around
-    each integrand's single peak found in log space."""
-    xf = xf.astype(float)
-    nf = nf.astype(float)
-    a = xf * xf + df
-    b = nf * xf
-    c = nf * nf
-    p = 2.0 * df + 1.0
-    # peak v* of the transformed integrand v^p exp(-(a v^4 - 2 b v^2 + c)/2):
-    # a (v*^2)^2 - b v*^2 - p/2 = 0. `diff` is root - b in a cancellation-free
-    # form, needed because b can reach 1e17 under extreme noncentralities.
-    root = np.sqrt(b * b + 2.0 * a * p)
-    pos = b > 0.0
-    diff = np.where(pos, 2.0 * a * p / np.where(pos, root + b, 1.0), root - b)
-    s = np.where(pos, (b + root) / (2.0 * a), p / diff)
-    vstar = np.sqrt(s)
-    # g(v*) + df/2, so that it and log C(df) - df/2 stay O(1) at large df;
-    # the last term is p ln(v*/sqrt(s)), the rounding of v* scaled by p
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        rem = _square_minus(vstar, s)
-        log_s = np.log(s)
-        gstar = (
-            0.5 * log_s
-            + _centered_log_peak(xf, nf, log_s, s, df)
-            + 0.5 * p * np.log1p(rem / s)
-        )
-    sigma = 1.0 / np.sqrt(p / s + 4.0 * a * s)
-
-    def centered(v: np.ndarray, idx) -> np.ndarray:
-        # g(v) - g(v*); the c term cancels exactly:
-        # g(v) - g(v*) = p ln(v/v*) - u (a u + diff) / 2 with u = v^2 - s
-        u = v * v - s[idx]
-        return p * np.log(v / vstar[idx]) - 0.5 * u * (a[idx] * u + diff[idx])
-
-    # widen each bracket until the log-integrand has dropped below -46
-    # (relative weight < 1e-20) or the left edge reaches zero
-    k = np.full(xf.shape, 8.0)
-    all_idx = np.arange(xf.size)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for _ in range(120):
-            hi = vstar + k * sigma
-            grow = centered(hi, all_idx) > -46.0
-            if not grow.any():
-                break
-            k[grow] *= 1.4
-        hi = vstar + k * sigma
-        k = np.full(xf.shape, 8.0)
-        for _ in range(120):
-            lo = np.maximum(vstar - k * sigma, 0.0)
-            drop = np.where(lo > 0.0, centered(np.maximum(lo, 1e-300), all_idx), -np.inf)
-            grow = drop > -46.0
-            if not grow.any():
-                break
-            k[grow] *= 1.4
-        lo = np.maximum(vstar - k * sigma, 0.0)
-
-    log_scale = _log_nct_scale(df)
-    # elements whose peak value already underflows double precision are
-    # exactly zero; skipping them also avoids brackets narrower than the
-    # float spacing around v* at extreme noncentralities
-    alive = np.isfinite(gstar) & (gstar + log_scale >= _LOG_DEAD)
-    integral = np.zeros_like(gstar)
-    if alive.any():
-        alive_idx = np.flatnonzero(alive)
-        # the nodes are offsets d = v - v*, so that neither p ln(v/v*) nor
-        # u = v^2 - s = d (2 v* + d) + (v*^2 - s) is formed from rounded
-        # absolute positions; both errors would scale with p
-
-        def log_f(d: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            gi = alive_idx[idx]
-            v0 = vstar[gi, None]
-            u = d * (2.0 * v0 + d) + rem[gi, None]
-            return p * np.log1p(d / v0) - 0.5 * u * (a[gi, None] * u + diff[gi, None])
-
-        # convergence floor from the rounding of the exponent near the peak,
-        # where |a u + diff| ~ 2 a s^1.5 sigma scales the error of u; at
-        # extreme |x|, |ncp| (~1e7) it dominates any fixed tolerance
-        eps = np.finfo(float).eps
-        noise = 16.0 * eps * (2.0 * a * s * vstar * sigma + p)
-        tol = np.maximum(rel_tol, noise[alive])
-        integral[alive] = quadrature.batched_log_integral(
-            log_f, lo[alive] - vstar[alive], hi[alive] - vstar[alive], rel_tol=tol
-        )
-    with np.errstate(divide="ignore"):
-        out = 2.0 * np.exp(log_scale + gstar + np.log(np.maximum(integral, 0.0)))
-    return np.where(integral > 0.0, out, 0.0)
+    shape = np.broadcast_shapes(x_arr.shape, ncp_arr.shape)
+    nf = np.broadcast_to(ncp_arr, shape).reshape(-1)
+    # a scalar x stays a scalar: the kernel's cheaper layout
+    xf = float(x_arr) if x_arr.ndim == 0 else np.broadcast_to(x_arr, shape).reshape(-1)
+    df = float(df)
+    out, done = _shared_node_kernel(xf, nf, df, _KERNEL_DROP)
+    rest = np.flatnonzero(~done)
+    if rest.size:
+        x_rest = xf if x_arr.ndim == 0 else xf[rest]
+        out[rest], done[rest] = _shared_node_kernel(x_rest, nf[rest], df, _KERNEL_RETRY_DROP)
+        if not done.all():
+            i = int(np.argmin(done))
+            raise ConvergenceError(
+                f"noncentral t density not certified at x = {float(np.broadcast_to(xf, nf.shape)[i])!r}"
+                f", df = {df!r}, ncp = {float(nf[i])!r}"
+            )
+    return out.reshape(shape) if shape else float(out[0])
 
 
 def _median(v: np.ndarray) -> float:
@@ -484,44 +395,50 @@ def _median(v: np.ndarray) -> float:
     return float(0.5 * (part[k - 1] + part[k]))
 
 
-def _shared_x_kernel(
-    x: float, ncp: np.ndarray, df: float, rel_tol: float
+def _shared_node_kernel(
+    x, ncp: np.ndarray, df: float, drop: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The density at one ``x`` for many noncentralities, on one node set.
+    """The density at many points (x, ncp) on one lattice of nodes.
 
-    In s = log w the mixture integrand is, up to the factor C(df) e^(-df/2),
+    ``x`` is a scalar or one value per noncentrality. In s = log w the
+    mixture integrand is, up to the factor C(df) e^(-df/2),
 
         exp(s - df * gap(s)) * exp(-(ncp - x e^s)^2 / 2),   gap(s) = (e^2s - 1)/2 - s,
 
-    and its first factor, the kernel, is the same for every ncp. The nodes
-    are one trapezoid lattice in s, its kernel values computed once. Points
-    are grouped by the location of their integrand's peak; each group
-    integrates on a window of the lattice wide enough for every member, at
-    the largest power-of-two stride that keeps 1/_KERNEL_STEP nodes per
-    width of its narrowest member. The kernel enters the group's rule
-    weights, so a block of nodes x points costs four array passes
-    (subtract, square, subtract the point's term, exp) in one buffer
+    and its first factor, the kernel, is the same for every point. The
+    nodes lie on one trapezoid lattice in s, origin + step * j, computed
+    from j where they are used. Points are grouped by the location of their
+    integrand's peak; each group integrates on a window of the lattice that
+    reaches e^-``drop`` beyond every member's peak, at the largest
+    power-of-two stride that keeps 1/_KERNEL_STEP nodes per width of its
+    narrowest member. The kernel enters the group's rule weights, so a block
+    of nodes x points costs four array passes (subtract, square, subtract
+    the point's term, exp; a per-point ``x`` adds a product) in one buffer
     reused by every block, then a product with the weights: one exponential
-    per node and no per-node log.
+    per node and no per-node log. A group of one point, or one whose window
+    would pass _KERNEL_MAX_NODES, hands its points to rows: each point on
+    its own window and stride, the kernel in the exponent, all rows of the
+    call batched into blocks.
 
     A point is certified when the half rule (every other node, no extra
-    exponential) agrees with the full rule to ``rel_tol``, and when the
+    exponential) agrees with the full rule to its tolerance, and when the
     integrand's mass beyond both window ends, bounded from its value and
-    slope there, is below ``rel_tol`` of the integral. Since that holds per
-    point, the window reach (e^-_KERNEL_DROP, where a Gaussian integrand's
-    tail bound is below 1e-15 of its mass) and the group width
-    (_KERNEL_GROUP of a typical window, so a union window is little wider
-    than its members') are chosen for cost alone: a point they leave short
-    fails its own certificate. Returns the values and a mask of the points
-    that are done: certified, or zero because their peak underflows. The
-    rest need the per-point path.
+    slope there, is below its tolerance of the integral. The tolerance is
+    _NCT_REL_TOL, or the rounding of x w - ncp, 8 eps |ncp| / sqrt(2), where
+    that is larger (|ncp| above about 800). Since that holds per point, the
+    window reach (e^-32 on a first pass: a Gaussian integrand's tail bound
+    is below 1e-15 of its mass there) and the group width (_KERNEL_GROUP of
+    a typical window, so a union window is little wider than its members')
+    are chosen for cost alone: a point they leave short fails its own
+    certificate. Returns the values and a mask of the points that are done:
+    certified, or zero because their peak underflows.
     """
     out = np.zeros(ncp.size)
     done = np.zeros(ncp.size, dtype=bool)
-    a = x * x + df
     q = df + 1.0
-    b = x * ncp
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a = x * x + df
+        b = x * ncp
         # peak: a w^2 - b w - q = 0, solved without cancellation
         root = np.sqrt(b * b + 4.0 * a * q)
         w_peak = np.where(b > 0.0, (b + root) / (2.0 * a), 2.0 * q / (root - b))
@@ -530,30 +447,39 @@ def _shared_x_kernel(
         curv = a * w_peak * w_peak
         width = 1.0 / np.sqrt(curv + q)
     log_scale = _log_nct_scale(df)
-    done[g_peak + log_scale < _LOG_DEAD] = True
+    # a peak beyond the double range (df or |x ncp| above about 1e154) is
+    # neither dead nor certified
+    done[np.isfinite(s_peak) & (g_peak + log_scale < _LOG_DEAD)] = True
     live = np.flatnonzero(np.isfinite(g_peak) & np.isfinite(curv) & ~done)
     if live.size == 0:
         return out, done
-    s_peak, g_peak, curv, width = s_peak[live], g_peak[live], curv[live], width[live]
-    # reach on each side where the integrand has fallen by e^-_KERNEL_DROP:
-    # with A = a w*^2, the drop at distance u is q (e^u - 1 - u) + A/2 (e^u - 1)^2
+    b, s_peak, g_peak, curv, width = (v[live] for v in (b, s_peak, g_peak, curv, width))
+    per_point = np.ndim(x) > 0
+    if per_point:
+        x, a = x[live], a[live]
+    # in sqrt(1/2)-scaled coordinates the ncp factor is exp(-(c - x' w)^2)
+    c = ncp[live] * _SQRT_HALF
+    x_half = x * _SQRT_HALF
+    tol = np.maximum(_NCT_REL_TOL, 8.0 * sys.float_info.epsilon * np.abs(c))
+    # reach on each side where the integrand has fallen by e^-drop: with
+    # A = a w*^2, the drop at distance u is q (e^u - 1 - u) + A/2 (e^u - 1)^2
     # to the right, at least the Gaussian (A + q) u^2 / 2, and
     # q (u - 1 + e^-u) + A/2 (1 - e^-u)^2 to the left, at most that. Newton
     # steps start from the Gaussian reach and only shrink the right reach
     # (that drop is convex, so they stay beyond its root) and only grow the
     # left one
-    right = width * math.sqrt(2.0 * _KERNEL_DROP)
+    right = width * math.sqrt(2.0 * drop)
     left = right.copy()
     for _ in range(3):
         e = np.exp(-left)
         one_e = -np.expm1(-left)
-        drop = q * (left - one_e) + 0.5 * curv * one_e * one_e
+        fall = q * (left - one_e) + 0.5 * curv * one_e * one_e
         slope = one_e * (q + curv * e)
-        left = np.maximum(left, left + (_KERNEL_DROP - drop) / slope)
+        left = np.maximum(left, left + (drop - fall) / slope)
         e_1 = np.expm1(right)
-        drop = q * (e_1 - right) + 0.5 * curv * e_1 * e_1
+        fall = q * (e_1 - right) + 0.5 * curv * e_1 * e_1
         slope = e_1 * (q + curv * (e_1 + 1.0))
-        right = np.minimum(right, right - (drop - _KERNEL_DROP) / slope)
+        right = np.minimum(right, right - (fall - drop) / slope)
     lo = s_peak - left
     hi = s_peak + right
     # groups of similar peak location, each a tenth of a typical window wide
@@ -562,98 +488,140 @@ def _shared_x_kernel(
     group = np.floor((s_peak[order] - s_peak[order[0]]) / span).astype(np.int64)
     starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
     bounds = np.r_[starts, order.size]
-    # one lattice: the starting spacing of the narrowest point, halved once
-    # for each refinement the nested rules may need; each group starts at
-    # the largest power-of-two stride its own narrowest point allows
+    # the lattice: the starting spacing of the narrowest point, halved once
+    # for each refinement the nested rules may need
     fine = 1 << _KERNEL_REFINE
-    step = _KERNEL_STEP * float(width.min()) / fine
+    w_min = float(width.min())
+    step = _KERNEL_STEP * w_min / fine
     origin = float(lo.min())
-    if not (float(hi.max()) - origin) / step < _LATTICE_MAX_NODES:
-        return out, done
-    g_width = np.minimum.reduceat(width[order], starts)
-    stride = fine * 2 ** np.floor(np.log2(g_width / float(width.min()))).astype(np.int64)
-    j0 = np.floor((np.minimum.reduceat(lo[order], starts) - origin) / step).astype(np.int64)
-    j0 -= j0 % stride
-    j_hi = np.ceil((np.maximum.reduceat(hi[order], starts) - origin) / step).astype(np.int64)
-    n_nodes = -((j0 - j_hi) // stride) + 1
-    j1 = j0 + (n_nodes - 1) * stride
-    n_lattice = int(j1.max()) + 1
-    if not n_lattice <= _LATTICE_MAX_NODES:
-        return out, done
-    s_nodes = origin + step * np.arange(n_lattice)
-    w_nodes = np.exp(s_nodes)
-    kernel = s_nodes - df * _kernel_gap(s_nodes)
-    # in sqrt(1/2)-scaled coordinates the ncp factor is exp(-(c - x' w)^2)
-    xw_nodes = (x * _SQRT_HALF) * w_nodes
-    c_live = ncp[live] * _SQRT_HALF
-    # one buffer for every block of the call: a block, or the midpoints of
-    # its last refinement, which are at most twice its nodes
+
+    def layout(lo, hi, width):
+        # a window over [lo, hi] at the largest power-of-two stride its
+        # narrowest point allows: the stride, first node and node count
+        stride = fine * 2 ** np.floor(np.log2(width / w_min)).astype(np.int64)
+        j0 = np.floor((lo - origin) / step).astype(np.int64)
+        j0 -= j0 % stride
+        j_hi = np.ceil((hi - origin) / step).astype(np.int64)
+        return stride, j0, -((j0 - j_hi) // stride) + 1
+
+    def certify(idx, full, half, first, last, w_lo, w_hi, midpoints):
+        # slope of the log-integrand in s at both window ends; beyond them
+        # the mass is at most value / |slope| (the slope is monotone outside
+        # the peak, and at least q on the far left)
+        a_idx = a[idx] if per_point else a
+        slope_lo = q + w_lo * (b[idx] - a_idx * w_lo)
+        slope_hi = q + w_hi * (b[idx] - a_idx * w_hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tails = first / np.minimum(slope_lo, q) - last / slope_hi
+        bracketed = (slope_lo > 0.0) & (slope_hi < 0.0) & (full > 0.0)
+        # halve the spacing where the rules disagree: only the midpoints are
+        # new, and the old full rule becomes the new half rule
+        rel = tol[idx]
+        for level in range(1, _KERNEL_REFINE + 1):
+            redo = np.flatnonzero(bracketed & (np.abs(full - half) > rel * full))
+            if redo.size == 0:
+                break
+            half[redo] = full[redo]
+            full[redo] = 0.5 * full[redo] + midpoints(redo, level)
+        ok = bracketed & (np.abs(full - half) <= rel * full) & (tails <= rel * full)
+        pts = idx[ok]
+        where = live[pts]
+        out[where] = np.exp(log_scale + g_peak[pts] + np.log(full[ok]))
+        done[where] = True
+
+    stride, j0, n_nodes = layout(np.minimum.reduceat(lo[order], starts),
+                                 np.maximum.reduceat(hi[order], starts),
+                                 np.minimum.reduceat(width[order], starts))
+    sizes = np.diff(bounds)
+    shared = (sizes > 1) & (n_nodes <= _KERNEL_MAX_NODES)
+    # one buffer for every block of a shared window: a block, or the
+    # midpoints of its last refinement, which are at most twice its nodes
     buf = np.empty(2 * _KERNEL_BLOCK)
 
-    def integrand(idx: np.ndarray, xw: np.ndarray, row: np.ndarray) -> np.ndarray:
+    def integrand(idx: np.ndarray, w: np.ndarray, row: np.ndarray) -> np.ndarray:
         # nodes x points, exp(row - (x' w - c)^2); the kernel is in the weights
-        f = buf[:xw.size * idx.size].reshape(xw.size, idx.size)
-        np.subtract.outer(xw, c_live[idx], out=f)
+        f = buf[:w.size * idx.size].reshape(w.size, idx.size)
+        if per_point:
+            np.multiply.outer(w, x_half[idx], out=f)
+            np.subtract(f, c[idx], out=f)
+        else:
+            np.subtract.outer(x_half * w, c[idx], out=f)
         np.square(f, out=f)
         np.subtract(row, f, out=f)
         return np.exp(f, out=f)
 
-    for k in range(starts.size):
+    for k in np.flatnonzero(shared):
         members = order[bounds[k]:bounds[k + 1]]
-        nk, sk, lo_k, hi_k = int(n_nodes[k]), int(stride[k]), int(j0[k]), int(j1[k])
-        if nk > _KERNEL_MAX_NODES:
-            continue
-        nodes = slice(lo_k, hi_k + 1, sk)
+        nk, sk, lo_k = int(n_nodes[k]), int(stride[k]), int(j0[k])
+        hi_k = lo_k + (nk - 1) * sk
+        s = origin + step * np.arange(lo_k, hi_k + 1, sk)
+        w = np.exp(s)
         # the kernel goes into the weights as exp(kernel - shift), and an
         # element is exp(shift - g_peak - (x' w - c)^2). With the shift
         # halfway between the kernel's maximum (below 1/(2 df)) and the
         # lowest member peak (above _LOG_DEAD - log_scale, so about -810),
         # neither factor exceeds e^410, and a factor that underflows stands
         # for a term below e^-330 of its point's peak
-        kern = kernel[nodes]
+        kern = s - df * _kernel_gap(s)
         shift = 0.5 * (float(kern.max()) + float(g_peak[members].min()))
         kern = np.exp(kern - shift)
         h = step * sk
         weights = np.zeros((2, nk))
         weights[0] = h * kern
         weights[1, ::2] = 2.0 * h * kern[::2]
-        xw_k = xw_nodes[nodes].copy()
-        w_ends = w_nodes[[lo_k, hi_k]]
-        rows = max(1, _KERNEL_BLOCK // nk)
-        for r in range(0, members.size, rows):
-            idx = members[r:r + rows]
-            pts = live[idx]
+        per_block = max(1, _KERNEL_BLOCK // nk)
+        for r in range(0, members.size, per_block):
+            idx = members[r:r + per_block]
             row = shift - g_peak[idx]
-            f = integrand(idx, xw_k, row)
+            f = integrand(idx, w, row)
             full, half = weights @ f
-            # slope of the log-integrand in s at both window ends; beyond
-            # them the mass is at most value / |slope| (the slope is
-            # monotone outside the peak, and at least q on the far left)
-            slope_lo = q + w_ends[0] * (b[pts] - a * w_ends[0])
-            slope_hi = q + w_ends[1] * (b[pts] - a * w_ends[1])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tails = kern[0] * f[0] / np.minimum(slope_lo, q) - kern[-1] * f[-1] / slope_hi
-            bracketed = (slope_lo > 0.0) & (slope_hi < 0.0) & (full > 0.0)
-            # halve the spacing where the rules disagree: only the midpoints
-            # are new, and the old full rule becomes the new half rule
-            sub = sk
-            while sub > sk // fine:
-                redo = np.flatnonzero(bracketed & (np.abs(full - half) > rel_tol * full))
-                if redo.size == 0:
-                    break
-                sub //= 2
-                mid = slice(lo_k + sub, hi_k, 2 * sub)
-                mids = integrand(idx[redo], xw_nodes[mid].copy(), row[redo])
-                half[redo] = full[redo]
-                full[redo] = 0.5 * full[redo] + (step * sub * np.exp(kernel[mid] - shift)) @ mids
-            ok = (
-                bracketed
-                & (np.abs(full - half) <= rel_tol * full)
-                & (tails <= rel_tol * full)
-            )
-            pts = pts[ok]
-            out[pts] = np.exp(log_scale + g_peak[idx[ok]] + np.log(full[ok]))
-            done[pts] = True
+
+            def midpoints(redo, level, idx=idx, row=row):
+                sub = sk >> level
+                s_mid = origin + step * np.arange(lo_k + sub, hi_k, 2 * sub)
+                mids = integrand(idx[redo], np.exp(s_mid), row[redo])
+                return (step * sub * np.exp(s_mid - df * _kernel_gap(s_mid) - shift)) @ mids
+
+            certify(idx, full, half, kern[0] * f[0], kern[-1] * f[-1], w[0], w[-1], midpoints)
+
+    singles = order[np.repeat(~shared, sizes)]
+    if singles.size == 0:
+        return out, done
+    stride, j0, n_nodes = layout(lo[singles], hi[singles], width[singles])
+    # a row's Gaussian factor comes from offsets to its first node s0:
+    # x' w - c = x' w0 expm1(s - s0) + (x' w0 - c). Formed from the node s
+    # itself it would carry the rounding of s, eps |s|, times x' w ~ |c|,
+    # which moved a point by 5e-10 at |ncp| = 5e5
+    s0 = origin + step * j0
+    xw0 = (x_half[singles] if per_point else x_half) * np.exp(s0)
+    offset = xw0 - c[singles]
+
+    def on_rows(rows, first, j_step, count):
+        # rows x nodes, exp(log integrand - g_peak) at the nodes
+        # j0 + first + j_step * k, k < count, and zero beyond; the padding
+        # repeats a row's last node
+        k = np.arange(int(count.max()))
+        d = step * (first[:, None] + j_step[:, None] * np.minimum(k, count[:, None] - 1))
+        s = s0[rows, None] + d
+        log_f = s - df * _kernel_gap(s) - g_peak[singles[rows], None]
+        log_f -= np.square(xw0[rows, None] * np.expm1(d) + offset[rows, None])
+        return np.where(k < count[:, None], np.exp(log_f), 0.0), s
+
+    per_block = max(1, _KERNEL_BLOCK // int(n_nodes.max()))
+    for r in range(0, singles.size, per_block):
+        rows = np.arange(r, min(r + per_block, singles.size))
+        sk, nk = stride[rows], n_nodes[rows]
+        f, s = on_rows(rows, np.zeros_like(sk), sk, nk)
+        h = step * sk
+        last = np.arange(rows.size), nk - 1
+
+        def midpoints(redo, level, rows=rows):
+            sub = stride[rows[redo]] >> level
+            f_mid, _ = on_rows(rows[redo], sub, 2 * sub, n_nodes[rows[redo]] - 1)
+            return step * sub * f_mid.sum(1)
+
+        certify(singles[rows], h * f.sum(1), 2.0 * h * f[:, ::2].sum(1), f[:, 0], f[last],
+                np.exp(s[:, 0]), np.exp(s[last]), midpoints)
     return out, done
 
 
@@ -827,8 +795,8 @@ def posterior_density_grid(
     with a DegenerateDataError: its normalization would divide by a
     subnormal mass.
     """
-    if grid_size < 64:
-        raise InvalidArgumentError("grid_size must be at least 64")
+    if grid_size < MIN_GRID_POINTS:
+        raise InvalidArgumentError(f"grid_size must be at least {MIN_GRID_POINTS}")
     d, se = _effect_location(stats)
     if grid_lo is None and grid_hi is None:
         lo = min(-DEFAULT_GRID_BOUND, -2.0, d - 6.0 * se)

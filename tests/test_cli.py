@@ -223,6 +223,20 @@ def test_analyze_constant_group_exits_3(tmp_path, capsys):
     assert "zero variance" in capsys.readouterr().err
 
 
+def test_analyze_near_constant_groups_exits_0(tmp_path, capsys):
+    # three observations per group with sd 1e-5 give t = 184768: the grid's
+    # noncentral-t integrands are narrow and far apart, one node row each
+    path = str(tmp_path / "d.csv")
+    assert main(["simulate", "--seed", "11", "--n", "3", "--sd1", "1e-5", "--sd2", "1e-5",
+                 "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["analyze", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["data"]["t"] == pytest.approx(184768.0, rel=1e-6)
+    assert report["errors"] == {}
+    assert report["verdicts"]["rope"] == "reject_null"
+
+
 def test_analyze_variance_overflow_exits_2(tmp_path, capsys):
     import warnings
 

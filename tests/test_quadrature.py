@@ -4,12 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from bayesindices.errors import ConvergenceError
-from bayesindices.quadrature import (
-    batched_log_integral,
-    gauss_legendre_nodes,
-    log_gauss_legendre,
-)
+from bayesindices.quadrature import gauss_legendre_nodes, log_gauss_legendre
 
 
 def _oracle_legendre_root(n, start):
@@ -69,27 +64,3 @@ def test_log_gauss_legendre_zero_integrand():
     value, _ = log_gauss_legendre(lambda x: np.full(x.shape, -np.inf), 0.0, 1.0, 8)
     assert value == -math.inf
 
-
-def test_batched_log_integral_gaussians():
-    # integral of exp(-(v-c)^2 / (2 s^2)) over a generous bracket
-    centers = np.array([0.0, 1.0, 5.0])
-    sigmas = np.array([1.0, 0.2, 3.0])
-
-    def log_f(v, idx):
-        return -0.5 * ((v - centers[idx, None]) / sigmas[idx, None]) ** 2
-
-    lo = centers - 12 * sigmas
-    hi = centers + 12 * sigmas
-    got = batched_log_integral(log_f, lo, hi)
-    expected = sigmas * np.sqrt(2 * np.pi)
-    assert np.allclose(got, expected, rtol=1e-12)
-
-
-def test_batched_log_integral_node_cap():
-    # discontinuous integrand cannot settle at the doubling tolerance
-    def log_f(v, idx):
-        return np.where(v > 0.3333333, 0.0, -30.0)
-
-    with pytest.raises(ConvergenceError):
-        batched_log_integral(log_f, np.array([0.0]), np.array([1.0]),
-                             rel_tol=1e-14, max_nodes=256)

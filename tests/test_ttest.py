@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from bayesindices import (
     sufficient_stats,
 )
 from bayesindices.errors import (
+    ConvergenceError,
     DegenerateDataError,
     FloatRangeError,
     InvalidArgumentError,
@@ -177,7 +179,14 @@ def test_nct_argument_validation():
         noncentral_t_pdf(np.inf, 98, 0.0)
 
 
-# ---------------------------------------------------------------- shared-x kernel
+@pytest.mark.parametrize("df", [math.inf, -math.inf, math.nan])
+def test_nct_refuses_non_finite_df(df):
+    # df = inf read 0.0 where the limit is the normal density
+    with pytest.raises(InvalidArgumentError, match="df"):
+        noncentral_t_pdf(0.0, df, 0.0)
+
+
+# ---------------------------------------------------------------- shared-node kernel
 
 def _oracle_nct(x, df, ncp):
     """50-digit scale-mixture integral, split at the integrand's peak and at
@@ -199,6 +208,19 @@ def _oracle_nct(x, df, ncp):
 
         cuts = [0] + [peak + k * width for k in (-30, -8, 0, 8, 30) if peak + k * width > 0]
         return float(mp.exp(log_const + log_peak) * mp.quad(f, cuts + [mp.inf]))
+
+
+def test_nct_names_a_point_it_cannot_certify():
+    # a grid at df = 1e9 is still certified; by 1e14 the kernel's width is
+    # lost to rounding, and df = 1e300 read 0.0
+    ncp = np.linspace(-3.0, 3.0, 301)
+    got = noncentral_t_pdf(0.5, 1e9, ncp)
+    for i in (0, 150, 300):
+        want = _oracle_nct(0.5, 1e9, ncp[i])
+        assert abs(got[i] - want) <= 1e-11 * want
+    for df in (1e14, 1e300):
+        with pytest.raises(ConvergenceError, match=re.escape(f"x = 0.5, df = {df!r}, ncp = -3.0")):
+            noncentral_t_pdf(0.5, df, ncp)
 
 
 def _live_ncp_grid(x, df, size=257):
@@ -234,58 +256,81 @@ def test_nct_far_tail_matches_mpmath_oracle(x):
 def test_nct_df4_grid_and_far_tail_are_certified():
     # the nested trapezoid refinement brings the skewed df = 4 integrands
     # into the kernel, and each point's window reaches its own far-tail peak
-    from bayesindices.ttest import _shared_x_kernel
+    from bayesindices.ttest import _KERNEL_DROP, _shared_node_kernel
 
     x, df = 1.29, 4.0
     ncp = np.linspace(-3.0, 0.0, 4096) * math.sqrt(1.5)
-    _, done = _shared_x_kernel(x, ncp, df, 1e-12)
+    _, done = _shared_node_kernel(x, ncp, df, _KERNEL_DROP)
     assert done.all()
     far = np.array([x - 38.0, x + 30.0])
-    values, done = _shared_x_kernel(x, far, df, 1e-12)
+    values, done = _shared_node_kernel(x, far, df, _KERNEL_DROP)
     assert done.all()
     for v, n in zip(values, far):
         assert abs(v - _oracle_nct(x, df, n)) <= 1e-11 * v
 
 
-def test_nct_fallback_points_meet_mpmath_oracle(monkeypatch):
-    # at df = 2 (two observations per group) the right tail's windows are
-    # the widest; with the window cap lowered the kernel declines part of
-    # it, and those points, and only those, take the per-point path
+def _spy_kernel(monkeypatch):
+    """Record the noncentralities and reach of every kernel pass."""
     from bayesindices import ttest
 
-    monkeypatch.setattr(ttest, "_KERNEL_MAX_NODES", 256)
+    calls = []
+    kernel = ttest._shared_node_kernel
+
+    def spy(x, ncp, df, drop):
+        calls.append((ncp.copy(), drop))
+        return kernel(x, ncp, df, drop)
+
+    monkeypatch.setattr(ttest, "_shared_node_kernel", spy)
+    return calls
+
+
+def test_nct_fallback_points_meet_mpmath_oracle(monkeypatch):
+    # at df = 2 (two observations per group) the integrands are the most
+    # skewed; with the first reach cut to e^-24 about half the points fail
+    # their tail bound, and those points, and only those, are retried at
+    # the longer reach
+    from bayesindices import ttest
+
+    monkeypatch.setattr(ttest, "_KERNEL_DROP", 24.0)
+    calls = _spy_kernel(monkeypatch)
     x, df = 1.0, 2.0
     ncp = np.linspace(-20.0, 45.0, 261)
-    _, done = ttest._shared_x_kernel(x, ncp, df, 1e-12)
-    assert 0 < (~done).sum() < ncp.size
-    calls = []
-    per_point = ttest._per_point_nct
-
-    def spy(xf, nf, df_, rel_tol):
-        calls.append(nf.copy())
-        return per_point(xf, nf, df_, rel_tol)
-
-    monkeypatch.setattr(ttest, "_per_point_nct", spy)
     got = noncentral_t_pdf(x, df, ncp)
-    assert len(calls) == 1 and np.array_equal(calls[0], ncp[~done])
-    for i in np.flatnonzero(~done)[::8]:
+    assert [drop for _, drop in calls] == [24.0, ttest._KERNEL_RETRY_DROP]
+    retried = np.isin(ncp, calls[1][0])
+    assert 0 < retried.sum() < ncp.size
+    for i in np.flatnonzero(retried)[::8]:
         want = _oracle_nct(x, df, ncp[i])
         assert abs(got[i] - want) <= 1e-11 * want, ncp[i]
 
 
-def test_default_posterior_grids_are_certified_everywhere(monkeypatch):
-    # over n = 2..1e5 per group and |t| up to 45, every point of the default
-    # grid and its margins is certified by the kernel: none falls back
+def test_nct_rows_agree_with_shared_windows(monkeypatch):
+    # with no shared window allowed every point takes its own row of nodes,
+    # the layout of a lone point; both layouts certify every point
     from bayesindices import ttest
 
-    fallbacks = []
-    monkeypatch.setattr(ttest, "_per_point_nct",
-                        lambda xf, *args: fallbacks.append(xf.size) or np.zeros(xf.size))
+    x, df = 1.0, 2.0
+    ncp = np.linspace(-20.0, 45.0, 261)
+    shared = noncentral_t_pdf(x, df, ncp)
+    monkeypatch.setattr(ttest, "_KERNEL_MAX_NODES", 0)
+    calls = _spy_kernel(monkeypatch)
+    rows = noncentral_t_pdf(x, df, ncp)
+    assert len(calls) == 1
+    assert np.max(np.abs(rows - shared) / shared) < 2e-12
+
+
+def test_default_posterior_grids_are_certified_everywhere(monkeypatch):
+    # over n = 2..1e5 per group and |t| up to 45, every point of the default
+    # grid and its margins is certified on the first pass: none is retried
+    from bayesindices import ttest
+
+    calls = _spy_kernel(monkeypatch)
     for n in (2, 3, 5, 10, 30, 100, 10**3, 10**4, 10**5):
         for t in (0.0, 0.7, 2.5, -6.0, 10.0, 30.0, 45.0):
             stats = SufficientStats(t=t, df=2 * n - 2, n_eff=n / 2, n1=n, n2=n)
             posterior_density_grid(stats, CauchyPrior(0.707))
-            assert not fallbacks, (n, t)
+            assert [drop for _, drop in calls] == [ttest._KERNEL_DROP], (n, t)
+            calls.clear()
 
 
 @settings(max_examples=40, deadline=None)
@@ -295,23 +340,28 @@ def test_default_posterior_grids_are_certified_everywhere(monkeypatch):
     centre=hst.floats(-3.0, 3.0),
     half_width=hst.floats(0.1, 60.0),
     size=hst.integers(1, 300),
+    pick=hst.floats(0.0, 1.0),
 )
-def test_nct_certified_points_agree_with_per_point_path(x, log10_df, centre, half_width, size):
-    from bayesindices.ttest import _per_point_nct, _shared_x_kernel
-
+def test_nct_certified_points_agree_with_mpmath_oracle(x, log10_df, centre, half_width, size,
+                                                       pick):
+    # the kernel evaluates a whole grid of noncentralities in one pass; the
+    # oracle checks one point of it
     df = float(round(10.0 ** log10_df))
     ncp = x + centre * math.sqrt(1.0 + x * x / (2.0 * df)) + np.linspace(
         -half_width, half_width, size
     )
-    values, done = _shared_x_kernel(x, ncp, df, 1e-12)
-    reference = _per_point_nct(np.full(size, x), ncp, df, 1e-12)
-    check = done & (reference >= 1e-250)
-    assert np.all(np.abs(values[check] - reference[check]) <= 1e-11 * reference[check])
-    # a point certified as zero has a negligible peak on the other path too
-    assert np.all(reference[done & (values == 0.0)] < 1e-300)
+    i = round(pick * (size - 1))
+    got = noncentral_t_pdf(x, df, ncp)[i]
+    want = _oracle_nct(x, df, ncp[i])
+    if want >= 1e-250:
+        assert abs(got - want) <= 1e-11 * want
+    # a point certified as zero has a negligible peak
+    assert got > 0.0 or want < 1e-300
 
 
-def test_nct_scalar_and_broadcast_shapes_keep_their_path():
+def test_nct_broadcast_shapes_agree_with_scalar_calls():
+    # x and ncp broadcast; a per-point x takes the same kernel as a grid at
+    # one x, and a scalar pair returns a float
     ncp = np.array([[0.5, 1.0], [2.0, 3.0]])
     grid = noncentral_t_pdf(2.0, 98, ncp)
     assert grid.shape == (2, 2)
@@ -319,8 +369,29 @@ def test_nct_scalar_and_broadcast_shapes_keep_their_path():
         one = noncentral_t_pdf(2.0, 98, ncp[idx])
         assert isinstance(one, float)
         assert grid[idx] == pytest.approx(one, rel=1e-12)
-    xs = np.array([1.0, 2.0])
-    assert noncentral_t_pdf(xs, 98, 1.0).shape == (2,)
+    xs = np.array([[-15.0], [-1.0], [0.0], [2.0], [300.0]])
+    ncps = np.array([-3.0, 0.0, 1.5, 40.0, 310.0])
+    both = noncentral_t_pdf(xs, 4, ncps)
+    assert both.shape == (5, 5)
+    for (i, j), value in np.ndenumerate(both):
+        one = noncentral_t_pdf(float(xs[i, 0]), 4, ncps[j])
+        assert value == pytest.approx(one, rel=1e-12, abs=1e-300)
+    assert noncentral_t_pdf(np.array([1.0, 2.0]), 98, 1.0).shape == (2,)
+
+
+@pytest.mark.parametrize("t", [300.0, -300.0, 184768.00058822113])
+def test_nct_small_sample_large_t_grids_match_mpmath_oracle(t):
+    # three observations per group at |t| = 300, and the t of near-constant
+    # groups (``simulate --seed 11 --n 3 --sd1 1e-5 --sd2 1e-5``): the
+    # integrands are narrow and far apart, one row of nodes per point
+    stats = SufficientStats(t=t, df=4, n_eff=1.5, n1=3, n2=3)
+    grid = posterior_density_grid(stats, CauchyPrior(1.0))
+    ncp = grid.points * math.sqrt(stats.n_eff)
+    got = noncentral_t_pdf(t, stats.df, ncp)
+    live = np.flatnonzero(got >= 1e-250)
+    for i in live[::live.size // 12]:
+        want = _oracle_nct(t, stats.df, ncp[i])
+        assert abs(got[i] - want) <= 1e-11 * want, ncp[i]
 
 
 # ---------------------------------------------------------------- posterior grid
@@ -673,13 +744,13 @@ def test_one_sided_oracle_takes_the_tail_where_stdtr_underflows():
 
 def test_bf_never_evaluates_the_noncentral_t(monkeypatch):
     # every alternative is one g-mixture pass; the noncentral t served the
-    # one-sided panels, whose per-point fallbacks took 16-34 ms at n = 2/2
+    # one-sided panels, which took 16-34 ms at n = 2/2
     from bayesindices import ttest
 
     def refuse(*args, **kwargs):
         raise AssertionError("the Bayes factor evaluated the noncentral t")
 
-    for name in ("noncentral_t_pdf", "_shared_x_kernel", "_per_point_nct"):
+    for name in ("noncentral_t_pdf", "_shared_node_kernel"):
         monkeypatch.setattr(ttest, name, refuse)
     for n1, n2 in ((2, 2), (3, 34), (400, 400), (100_000, 100_000)):
         for scale in (1e-3, 0.707, 1000.0):
