@@ -38,7 +38,7 @@ from .ttest import (
     sufficient_stats,
 )
 
-_INPUT_ERRORS = (InputError, InvalidArgumentError, OSError, json.JSONDecodeError)
+_INPUT_ERRORS = (InputError, InvalidArgumentError, OSError)
 
 
 # Plain files are parsed in blocks of about this many characters, each cut

@@ -312,63 +312,34 @@ def _hpd_threshold(points: np.ndarray, dens: np.ndarray, mass: float) -> float:
     on the piecewise-linear density.
 
     Above a level tau, a segment with both node densities above tau holds
-    its whole mass m; one that tau crosses, with node densities lo < hi,
-    holds (hi + tau)(hi - tau) h / (2 (hi - lo)). Between two consecutive
-    node densities the enclosed mass is therefore M + A - B tau^2 with
-    fixed M, A and B. Passing a node's density moves each of its two
-    segments one step (full to crossed at its lower node, crossed to empty
-    at its upper one), so one sort of the node densities and cumulative
-    sums of those steps give the enclosed mass at every node density. That
-    locates the bracketing pair of densities; the enclosed mass is then
-    re-evaluated at the pair without the A - B tau^2 cancellation (and the
-    pair searched for outwards if that misplaced it), and the quadratic is
-    solved inside it.
+    its whole mass; one that tau crosses, with node densities lo < hi,
+    holds (hi + tau)(hi - tau) h / (2 (hi - lo)). This enclosed mass falls
+    as tau rises: the highest node density holds none of it, and a level
+    below every node density holds all. A bisection over the sorted
+    distinct node densities therefore finds the last one that holds
+    ``mass`` and the next one up, which does not. Between the two the same
+    segments are crossed, so the enclosed mass is M + A - B tau^2 with
+    fixed M, A and B, and that quadratic is solved inside the pair.
     """
     h = np.diff(points)
     d0, d1 = dens[:-1], dens[1:]
     seg_mass = 0.5 * (d0 + d1) * h
     lo, hi = np.minimum(d0, d1), np.maximum(d0, d1)
-    n = dens.size
-    seg = np.arange(n - 1)
-    lower = np.where(d0 <= d1, seg, seg + 1)
-    upper = np.where(d0 <= d1, seg + 1, seg)
-    # nearly flat segments step straight from full to empty in the estimate
-    sloped = hi - lo > 1e-6 * hi.max()
-    beta = np.where(sloped, 0.5 * h / np.where(sloped, hi - lo, 1.0), 0.0)
-    alpha = beta * hi * hi
-    order = np.argsort(dens, kind="stable")
-    level = dens[order]
-    step_m = np.bincount(lower, seg_mass, n)[order]
-    step_a = (np.bincount(lower, alpha, n) - np.bincount(upper, alpha, n))[order]
-    step_b = (np.bincount(lower, beta, n) - np.bincount(upper, beta, n))[order]
-    estimate = (
-        seg_mass.sum() - np.cumsum(step_m) + np.cumsum(step_a) - np.cumsum(step_b) * level * level
-    )
-    # the last node of each run of equal densities carries the state there
-    distinct = np.r_[level[1:] > level[:-1], True]
-    levels, estimate = level[distinct], estimate[distinct]
+    # np.unique would import numpy.ma into every cold process
+    levels = np.sort(dens)
+    levels = levels[np.r_[levels[1:] > levels[:-1], True]]
 
     def enclosed(v: float) -> float:
         crossed = (lo <= v) & (hi > v)
         share = (hi[crossed] - v) / (hi[crossed] - lo[crossed])
         return float(seg_mass[lo > v].sum() + (0.5 * h[crossed] * (hi[crossed] + v) * share).sum())
 
-    def holds(j: int) -> bool:
-        return enclosed(levels[j]) >= mass
-
-    # from the estimated pair, step outwards in doubling strides until the
-    # pair (j, k) brackets the last level that holds the mass, then
-    # bisect; the top level holds none, and "below every level" holds all
-    j = int(np.searchsorted(-estimate, -mass, side="right")) - 1
-    k, stride = j + 1, 1
-    while j >= 0 and not holds(j):
-        j, k, stride = j - stride, j, 2 * stride
-    while k < levels.size - 1 and holds(k):
-        j, k, stride = k, min(k + stride, levels.size - 1), 2 * stride
-    j = max(j, -1)
+    # levels[j] holds the mass and levels[k] does not; j = -1 stands for
+    # "below every level"
+    j, k = -1, levels.size - 1
     while k - j > 1:
         mid = (j + k) // 2
-        j, k = (mid, k) if holds(mid) else (j, mid)
+        j, k = (mid, k) if enclosed(levels[mid]) >= mass else (j, mid)
     if j < 0:
         return 0.0
     floor_level = float(levels[j])

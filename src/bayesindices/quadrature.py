@@ -72,16 +72,15 @@ def _nested_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def log_gauss_legendre(
-    log_f: Callable[[np.ndarray], np.ndarray],
+    log_f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     lo: float,
     hi: float,
     n: int,
     *,
     log_scale: float = 0.0,
-    weighted_mean: bool = False,
-) -> tuple[float, ...]:
+) -> tuple[float, float, float]:
     """log of exp(log_scale) times the integral of exp(log_f) over [lo, hi],
-    with its relative error estimate.
+    with its relative error estimate and a weighted mean.
 
     The n-node Gauss-Legendre rule gives the value and the n/2-node rule
     the error, floored at the rounding of the sum. ``log_f`` is called once,
@@ -90,18 +89,16 @@ def log_gauss_legendre(
     outside the double range as long as its log does not. The value is -inf
     when the integrand is zero at every node.
 
-    With ``weighted_mean``, ``log_f`` returns a pair: the log integrand and
-    a second array h of the same shape. The result then gains a third item,
-    the mean of h under the n-node rule's weights, exp(log_f - peak) times
-    the Gauss-Legendre weights, normalized. When h is the derivative of
-    log_f with respect to a parameter, that mean is the derivative of the
-    log integral, from the same pass.
+    ``log_f`` returns a pair: the log integrand and a second array h of the
+    same shape. The third item of the result is the mean of h under the
+    n-node rule's weights, exp(log_f - peak) times the Gauss-Legendre
+    weights, normalized. When h is the derivative of log_f with respect to
+    a parameter, that mean is the derivative of the log integral, from the
+    same pass.
     """
     u, w_fine, w_coarse = _nested_rule(n)
     half = 0.5 * (hi - lo)
-    values = log_f(half * u + 0.5 * (hi + lo))
-    if weighted_mean:
-        values, h = values
+    values, h = log_f(half * u + 0.5 * (hi + lo))
 
     def log_sum(v: np.ndarray, w: np.ndarray, h: np.ndarray | None = None):
         peak = float(v.max())
@@ -112,8 +109,7 @@ def log_gauss_legendre(
         mean = math.nan if h is None else half * float((p * h) @ w) / total
         return peak + math.log(total) + log_scale, mean
 
-    value, mean = log_sum(values[:n], w_fine, h[:n] if weighted_mean else None)
+    value, mean = log_sum(values[:n], w_fine, h[:n])
     coarse, _ = log_sum(values[n:], w_coarse)
     error = max(abs(math.expm1(coarse - value)), n * sys.float_info.epsilon)
-    return (value, error, mean) if weighted_mean else (value, error)
-
+    return value, error, mean

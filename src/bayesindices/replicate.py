@@ -18,7 +18,7 @@ from typing import Any
 from .errors import ConvergenceError, InvalidArgumentError
 from .indices import Rope
 from .report import AnalysisConfig, analyze
-from .ttest import DEFAULT_GRID_SIZE, CauchyPrior, SufficientStats, jzs_bayes_factor
+from .ttest import CauchyPrior, SufficientStats, jzs_bayes_factor
 
 REFERENCE_N = 50
 REFERENCE_PRIOR_SCALE = 1.0
@@ -151,7 +151,7 @@ def calibrate_reference_t(
     )
 
 
-def reference_analysis(grid_size: int = DEFAULT_GRID_SIZE) -> dict[str, Any]:
+def reference_analysis() -> dict[str, Any]:
     """Calibrated posterior grid plus every index the reference reports."""
     t_star = calibrate_reference_t()
     stats = SufficientStats(
@@ -162,8 +162,7 @@ def reference_analysis(grid_size: int = DEFAULT_GRID_SIZE) -> dict[str, Any]:
         n2=REFERENCE_N,
     )
     analysis = analyze(stats, AnalysisConfig(
-        prior_scale=REFERENCE_PRIOR_SCALE, rope=REFERENCE_ROPE,
-        hpd_mass=REFERENCE_HPD_MASS, grid_size=grid_size,
+        prior_scale=REFERENCE_PRIOR_SCALE, rope=REFERENCE_ROPE, hpd_mass=REFERENCE_HPD_MASS,
     ))
     ind = analysis.require(
         "density_at_null", "bf01_savage_dickey", "map_location", "p_map", "pd",
@@ -260,7 +259,6 @@ class ReplicationReport:
 
 def run_replication(
     profile: str = "strict",
-    grid_size: int = DEFAULT_GRID_SIZE,
     reference: dict[str, tuple] | None = None,
 ) -> ReplicationReport:
     """Compare the calibrated analysis with the published reference values.
@@ -273,7 +271,7 @@ def run_replication(
         )
     widen = TOLERANCE_PROFILES[profile]
     table = REFERENCE_VALUES if reference is None else reference
-    computed = reference_analysis(grid_size=grid_size)
+    computed = reference_analysis()
     rows: list[ComparisonRow] = []
     for name, (expected, tol) in table.items():
         observed = computed[name]

@@ -688,8 +688,7 @@ def _g_mixture_log_bf10(
         return value, np.divide(ns2, score, out=score)
 
     log_bf10, rel_error, score = quadrature.log_gauss_legendre(
-        log_f, -_GM_BELOW, max(knee, 0.0) + _GM_ABOVE, _GM_NODES, log_scale=-_HALF_LOG_2PI,
-        weighted_mean=True)
+        log_f, -_GM_BELOW, max(knee, 0.0) + _GM_ABOVE, _GM_NODES, log_scale=-_HALF_LOG_2PI)
     slope = -0.5 * (df + 1.0) * score if prior.alternative == TWO_SIDED else None
     return log_bf10, rel_error, slope
 
@@ -770,10 +769,10 @@ def posterior_density_grid(
     grid of ``grid_size`` points.
 
     The prior picks the form: the grid lies within its ``support``. With
-    default bounds it starts at [-3, 3] and expands to cover [-2, 2] plus
-    six standard errors around the sample effect. Explicit bounds are
-    honoured as given and checked: if an edge inside the support clips 0.1%
-    or more of the posterior mass a TruncatedSupportError is raised.
+    default bounds it is [-3, 3], widened to cover six standard errors
+    around the sample effect. Explicit bounds are honoured as given and
+    checked: if an edge inside the support clips 0.1% or more of the
+    posterior mass a TruncatedSupportError is raised.
 
     The points follow the posterior (`_grid_points`): a coarse base over the
     whole grid keeps wide small-sample posteriors dense; a fine segment
@@ -799,8 +798,8 @@ def posterior_density_grid(
         raise InvalidArgumentError(f"grid_size must be at least {MIN_GRID_POINTS}")
     d, se = _effect_location(stats)
     if grid_lo is None and grid_hi is None:
-        lo = min(-DEFAULT_GRID_BOUND, -2.0, d - 6.0 * se)
-        hi = max(DEFAULT_GRID_BOUND, 2.0, d + 6.0 * se)
+        lo = min(-DEFAULT_GRID_BOUND, d - 6.0 * se)
+        hi = max(DEFAULT_GRID_BOUND, d + 6.0 * se)
     else:
         if grid_lo is None or grid_hi is None:
             raise InvalidArgumentError("pass both grid bounds or neither")

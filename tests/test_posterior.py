@@ -21,6 +21,7 @@ from bayesindices.errors import (
     InvalidArgumentError,
     MultimodalHpdError,
 )
+from bayesindices.posterior import _hpd_threshold, _level_mass
 
 INV_SQRT_2PI = 1.0 / np.sqrt(2 * np.pi)
 
@@ -171,8 +172,8 @@ def test_hpd_grid_holds_its_mass_between_equal_densities(mass):
         np.exp(-0.5 * x * x),                                       # symmetric
         np.where(x > 0, x ** 2 * np.exp(-x), 0.0),                  # skewed, zero plateau
         1.0 / (1.0 + (x / 1e-3) ** 2) + 1e-3 * np.exp(-0.5 * x * x),  # spike on a floor
-        # a floor so low that its segments count as flat steps in the first
-        # estimate, which then misplaces the bracketing pair of densities
+        # a floor so low that most of its segments are nearly flat beside the
+        # spike: at mass 0.99 the threshold lies among their close densities
         1.0 / (1.0 + (x / 1e-3) ** 2) + 1e-4 * np.exp(-0.5 * x * x),
     )
     for dens in shapes:
@@ -181,6 +182,43 @@ def test_hpd_grid_holds_its_mass_between_equal_densities(mass):
         assert mass_in_interval(grid, got.lower, got.upper) == pytest.approx(mass, abs=1e-13)
         ends = grid.density_at(np.array([got.lower, got.upper]))
         assert ends[0] == pytest.approx(ends[1], rel=1e-9)
+
+
+def _random_grid(rng) -> DensityGrid:
+    """64-3000 unevenly spaced points under one to four modes, with zero
+    plateaus and tied densities in about half the grids each."""
+    n = int(rng.integers(64, 3001))
+    x = np.cumsum(rng.uniform(0.1, 1.0, n))
+    x = 20.0 * (x - x[0]) / (x[-1] - x[0]) - 10.0
+    dens = np.zeros(n)
+    for _ in range(int(rng.integers(1, 5))):
+        dens += rng.uniform(0.1, 1.0) * np.exp(
+            -0.5 * ((x - rng.uniform(-8.0, 8.0)) / rng.uniform(0.05, 3.0)) ** 2)
+    if rng.random() < 0.5:
+        dens = np.where(dens < rng.uniform(0.0, 0.3) * dens.max(), 0.0, dens)
+    if rng.random() < 0.5:
+        quantum = 10.0 ** -int(rng.integers(1, 4))
+        dens = np.round(dens / quantum) * quantum
+    return normalize_grid(DensityGrid(x, dens))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_hpd_threshold_on_random_grids(seed):
+    # the enclosed mass is checked by `_level_mass`, a separate implementation
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        grid = _random_grid(rng)
+        x, dens = grid.points, grid.densities
+        lo, hi = np.minimum(dens[:-1], dens[1:]), np.maximum(dens[:-1], dens[1:])
+        for mass in (0.01, 0.999999, *np.exp(rng.uniform(np.log(0.01), np.log(0.999999), 4))):
+            tau = _hpd_threshold(x, dens, mass)
+            # off the node densities, the superlevel set holds the mass exactly
+            if np.any((lo < tau) & (tau < hi)) and not np.any(dens == tau):
+                assert _level_mass(x, dens, dens, tau, above=True) == pytest.approx(mass, abs=1e-13)
+            # and the next node density up holds less
+            higher = dens[dens > tau]
+            if higher.size:
+                assert _level_mass(x, dens, dens, higher.min(), above=True) < mass
 
 
 def test_hpd_multimodal_grid_raises():
