@@ -16,7 +16,6 @@ from .errors import (
     DegenerateDensityError,
     FloatRangeError,
     InputError,
-    InsufficientSamplesError,
     InvalidArgumentError,
     MultimodalHpdError,
     OutOfSupportError,
@@ -27,17 +26,13 @@ from .posterior import (
     DensityGrid,
     MapEstimate,
     ReferenceFunction,
-    SampleSet,
     grid_mean,
     grid_quantile,
     hpd_interval,
-    kde_density,
     level_set_mass,
     map_estimate,
     mass_in_interval,
     normalize_grid,
-    sample_from_grid,
-    silverman_bandwidth,
 )
 from .ttest import (
     BayesFactor,
@@ -97,13 +92,12 @@ __all__ = [
     # errors
     "BayesIndicesError", "ConvergenceError", "DegenerateDataError",
     "DegenerateDensityError", "FloatRangeError", "InputError",
-    "InsufficientSamplesError", "InvalidArgumentError", "MultimodalHpdError",
-    "OutOfSupportError", "TruncatedSupportError",
-    # posterior representations and geometry
+    "InvalidArgumentError", "MultimodalHpdError", "OutOfSupportError",
+    "TruncatedSupportError",
+    # the posterior grid and its geometry
     "CredibleInterval", "DensityGrid", "MapEstimate", "ReferenceFunction",
-    "SampleSet", "grid_mean", "grid_quantile", "hpd_interval", "kde_density",
-    "level_set_mass", "map_estimate", "mass_in_interval", "normalize_grid",
-    "sample_from_grid", "silverman_bandwidth",
+    "grid_mean", "grid_quantile", "hpd_interval", "level_set_mass",
+    "map_estimate", "mass_in_interval", "normalize_grid",
     # two-sample model
     "BayesFactor", "CauchyPrior", "SufficientStats",
     "TwoSampleData", "central_t_pdf", "cohen_d", "cohen_d_from_moments",

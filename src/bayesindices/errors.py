@@ -13,10 +13,6 @@ class InvalidArgumentError(BayesIndicesError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class InsufficientSamplesError(BayesIndicesError):
-    """Too few posterior draws for a density or interval estimate."""
-
-
 class DegenerateDataError(BayesIndicesError):
     """Observed data carry no usable variation (e.g. constant group)."""
 

@@ -19,8 +19,8 @@ from .posterior import (
     DensityGrid,
     MapEstimate,
     ReferenceFunction,
-    SampleSet,
     _clipped_level_mass,
+    _require_normalized,
     grid_quantile,
     hpd_interval,
     map_estimate,
@@ -181,7 +181,7 @@ def rope_verdict(hpd_lower: float, hpd_upper: float, rope: Rope) -> str:
 
 
 def rope_decision(
-    posterior: SampleSet | DensityGrid,
+    posterior: DensityGrid,
     rope: Rope,
     hpd_mass: float = 0.95,
 ) -> RopeDecision:
@@ -195,7 +195,7 @@ def rope_decision(
 
 
 def rope_mass(
-    posterior: SampleSet | DensityGrid,
+    posterior: DensityGrid,
     rope: Rope,
     hpd_mass: float = 0.95,
     hpd: CredibleInterval | None = None,
@@ -239,30 +239,24 @@ def map_p_value(
     return ratio
 
 
-def posterior_median(posterior: SampleSet | DensityGrid) -> float:
-    if isinstance(posterior, SampleSet):
-        return float(np.median(posterior.values))
+def posterior_median(posterior: DensityGrid) -> float:
     return float(grid_quantile(posterior, 0.5))
 
 
-def probability_of_direction(
-    posterior: SampleSet | DensityGrid, median: float | None = None
-) -> float:
+def probability_of_direction(posterior: DensityGrid, median: float | None = None) -> float:
     """Posterior mass sharing the sign of the median (median exactly zero
-    counts as positive). Clipped onto the feasible range [0.5, 1], which
-    integration noise can overshoot by ~1e-16. ``median`` is the
-    posterior's `posterior_median`, when the caller already has it."""
+    counts as positive), on a normalized grid. Clipped onto the feasible
+    range [0.5, 1], which integration noise can overshoot by ~1e-16.
+    ``median`` is the posterior's `posterior_median`, when the caller
+    already has it."""
+    _require_normalized(posterior, "probability_of_direction")
     if median is None:
         median = posterior_median(posterior)
-    if isinstance(posterior, SampleSet):
-        values = posterior.values
-        mass = float(np.mean(values > 0)) if median >= 0 else float(np.mean(values < 0))
+    lo, hi = posterior.support
+    if median >= 0:
+        mass = mass_in_interval(posterior, 0.0, hi)
     else:
-        lo, hi = posterior.support
-        if median >= 0:
-            mass = mass_in_interval(posterior, 0.0, hi)
-        else:
-            mass = mass_in_interval(posterior, lo, 0.0)
+        mass = mass_in_interval(posterior, lo, 0.0)
     return min(1.0, max(0.5, mass))
 
 
@@ -303,9 +297,11 @@ def fbst_evalue(
 
     The surprise threshold is the surprise value at the null (a point null
     makes the supremum over the null set the value itself); the evidence
-    against is the posterior mass where surprise exceeds that threshold.
+    against is the posterior mass where surprise exceeds that threshold,
+    read off a normalized posterior grid.
     """
     _require_in_support(posterior, null_value, "null value")
+    _require_normalized(posterior, "fbst_evalue")
     surprise = surprise_function(posterior, reference)
     s_star = float(np.interp(null_value, posterior.points, surprise))
     # the smaller of the superlevel and the sublevel mass is summed and the

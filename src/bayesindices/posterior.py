@@ -1,10 +1,9 @@
-"""Scalar posterior representations and the geometry every index needs.
+"""The scalar posterior, a density grid, and the geometry every index needs.
 
-Two interchangeable forms are supported: empirical draws (`SampleSet`) and
-deterministic density grids (`DensityGrid`). Operations that accept either
-dispatch on type. All objects are immutable after construction and every
-operation is a pure function, so everything here is safe to share across
-threads.
+A posterior is a `DensityGrid`: densities tabulated on a strictly
+increasing grid and read as the piecewise-linear density through them.
+All objects are immutable after construction and every operation is a
+pure function, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -17,12 +16,10 @@ import numpy as np
 
 from .errors import (
     DegenerateDensityError,
-    InsufficientSamplesError,
     InvalidArgumentError,
     MultimodalHpdError,
 )
 
-MIN_SAMPLES = 100
 MIN_GRID_POINTS = 64
 NORMALIZATION_TOL = 1e-6
 
@@ -37,31 +34,14 @@ def _as_readonly_array(values, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SampleSet:
-    """Posterior draws of a scalar parameter, plus the seed that made them."""
-
-    values: np.ndarray
-    seed: int | None = None
-
-    def __post_init__(self):
-        arr = _as_readonly_array(self.values, "values")
-        if arr.size == 0:
-            raise InvalidArgumentError("SampleSet must be nonempty")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidArgumentError("SampleSet values must all be finite")
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True, eq=False)
 class DensityGrid:
     """Density values tabulated on a strictly increasing grid.
 
     Construction does not force normalization (tabulating a known density
     over a finite window is legitimate); use `normalize_grid` to rescale,
-    and `total_mass` to inspect the trapezoidal integral.
+    and `total_mass` to inspect the trapezoidal integral. The indices that
+    read absolute masses (the HPD, the probability of direction and the
+    e-value) refuse a grid whose mass is not one within NORMALIZATION_TOL.
     """
 
     points: np.ndarray
@@ -113,9 +93,6 @@ class CredibleInterval:
         if not 0.0 < self.mass < 1.0:
             raise InvalidArgumentError("interval mass must lie strictly in (0, 1)")
 
-    def contains(self, x: float) -> bool:
-        return self.lower <= x <= self.upper
-
 
 FLAT = "flat"
 PRIOR_DENSITY = "prior"
@@ -155,62 +132,23 @@ class MapEstimate(NamedTuple):
     at_boundary: bool
 
 
-def _require_samples(samples: SampleSet, operation: str) -> np.ndarray:
-    if len(samples) < MIN_SAMPLES:
-        raise InsufficientSamplesError(
-            f"{operation} needs at least {MIN_SAMPLES} draws, got {len(samples)}"
-        )
-    return samples.values
-
-
-def silverman_bandwidth(values: np.ndarray) -> float:
-    """Rule-of-thumb Gaussian-kernel bandwidth 0.9 min(sd, IQR/1.34) n^(-1/5)."""
-    sd = float(np.std(values))
-    q75, q25 = np.percentile(values, [75, 25])
-    iqr = float(q75 - q25)
-    scale = min(sd, iqr / 1.34) if iqr > 0 else sd
-    if scale <= 0:
-        raise InvalidArgumentError("samples have zero spread; bandwidth undefined")
-    return 0.9 * scale * len(values) ** (-0.2)
-
-
-def kde_density(
-    samples: SampleSet,
-    bandwidth: float | None = None,
-    grid_size: int = 512,
-) -> DensityGrid:
-    """Gaussian-kernel density estimate on an equally spaced grid.
-
-    The grid spans [min - 3h, max + 3h] for bandwidth h and the result is
-    normalized to unit trapezoidal mass.
-    """
-    values = _require_samples(samples, "kde_density")
-    if grid_size < MIN_GRID_POINTS:
-        raise InvalidArgumentError(f"grid_size must be at least {MIN_GRID_POINTS}")
-    if bandwidth is None:
-        h = silverman_bandwidth(values)
-    else:
-        h = float(bandwidth)
-        if not h > 0:
-            raise InvalidArgumentError("bandwidth must be positive")
-    grid = np.linspace(values.min() - 3 * h, values.max() + 3 * h, grid_size)
-    dens = np.zeros(grid_size)
-    # chunked so million-draw sample sets stay within memory
-    step = max(1, 4_000_000 // grid_size)
-    for start in range(0, values.size, step):
-        chunk = values[start:start + step]
-        z = (grid[:, None] - chunk[None, :]) / h
-        dens += np.exp(-0.5 * z * z).sum(axis=1)
-    dens /= values.size * h * np.sqrt(2 * np.pi)
-    return normalize_grid(DensityGrid(grid, dens))
-
-
 def normalize_grid(grid: DensityGrid) -> DensityGrid:
     """Rescale densities so the trapezoidal integral over the grid is one."""
     total = grid.total_mass()
     if total <= 0:
         raise DegenerateDensityError("density grid has zero total mass")
     return DensityGrid(grid.points, grid.densities / total)
+
+
+def _require_normalized(grid: DensityGrid, operation: str) -> None:
+    """Refuse a grid whose trapezoidal mass is not one within
+    NORMALIZATION_TOL: ``operation`` reads absolute masses off it."""
+    total = grid.total_mass()
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise InvalidArgumentError(
+            f"{operation} needs a normalized density grid (total mass {total:.6g}); "
+            "rescale it with normalize_grid"
+        )
 
 
 def _mass_between(points: np.ndarray, dens: np.ndarray, lower: float, upper: float) -> float:
@@ -230,14 +168,11 @@ def _mass_between(points: np.ndarray, dens: np.ndarray, lower: float, upper: flo
     return float(np.trapezoid(ds, xs))
 
 
-def mass_in_interval(posterior: SampleSet | DensityGrid, lower: float, upper: float) -> float:
-    """Posterior probability of [lower, upper]: the fraction of draws inside
-    it, or the density integral over its intersection with the grid."""
+def mass_in_interval(posterior: DensityGrid, lower: float, upper: float) -> float:
+    """Posterior probability of [lower, upper]: the density integral over
+    its intersection with the grid."""
     if lower > upper:
         raise InvalidArgumentError("interval lower bound exceeds upper bound")
-    if isinstance(posterior, SampleSet):
-        values = posterior.values
-        return float(np.mean((values >= lower) & (values <= upper)))
     return _mass_between(posterior.points, posterior.densities, lower, upper)
 
 
@@ -357,19 +292,17 @@ def _hpd_threshold(points: np.ndarray, dens: np.ndarray, mass: float) -> float:
     return min(floor_level + y, ceiling)
 
 
-def _hpd_from_samples(samples: SampleSet, mass: float) -> CredibleInterval:
-    values = _require_samples(samples, "hpd_interval")
-    ordered = np.sort(values)
-    n = ordered.size
-    m = int(np.ceil(mass * n))
-    m = max(m, 1)
-    widths = ordered[m - 1:] - ordered[: n - m + 1]
-    i = int(np.argmin(widths))
-    return CredibleInterval(float(ordered[i]), float(ordered[i + m - 1]), mass)
+def hpd_interval(posterior: DensityGrid, mass: float) -> CredibleInterval:
+    """Shortest interval holding ``mass`` of a normalized grid's probability.
 
-
-def _hpd_from_grid(grid: DensityGrid, mass: float) -> CredibleInterval:
-    points, dens = grid.points, grid.densities
+    The interval is the superlevel set of the density threshold that holds
+    exactly ``mass`` of the piecewise-linear density (raising
+    MultimodalHpdError when that set is disconnected).
+    """
+    if not 0.0 < mass < 1.0:
+        raise InvalidArgumentError("mass must lie strictly in (0, 1)")
+    _require_normalized(posterior, "hpd_interval")
+    points, dens = posterior.points, posterior.densities
     threshold = _hpd_threshold(points, dens, mass)
     segments = _superlevel_segments(points, dens, threshold)
     if len(segments) != 1:
@@ -380,21 +313,6 @@ def _hpd_from_grid(grid: DensityGrid, mass: float) -> CredibleInterval:
         )
     lower, upper = segments[0]
     return CredibleInterval(lower, upper, mass)
-
-
-def hpd_interval(posterior: SampleSet | DensityGrid, mass: float) -> CredibleInterval:
-    """Shortest interval holding ``mass`` posterior probability.
-
-    Sample sets use the shortest contiguous window of ceil(mass * n) sorted
-    draws; grids take the density threshold whose superlevel set holds
-    exactly ``mass`` of the piecewise-linear density (raising
-    MultimodalHpdError when that set is disconnected).
-    """
-    if not 0.0 < mass < 1.0:
-        raise InvalidArgumentError("mass must lie strictly in (0, 1)")
-    if isinstance(posterior, SampleSet):
-        return _hpd_from_samples(posterior, mass)
-    return _hpd_from_grid(posterior, mass)
 
 
 def map_estimate(posterior: DensityGrid) -> MapEstimate:
@@ -423,9 +341,13 @@ def map_estimate(posterior: DensityGrid) -> MapEstimate:
     return MapEstimate(float(loc), float(val), False)
 
 
-def _inverse_cdf(points: np.ndarray, dens: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Exact quantiles of a piecewise-linear density: the CDF is quadratic
-    on each segment and inverted in closed form."""
+def grid_quantile(grid: DensityGrid, q) -> np.ndarray | float:
+    """Exact quantile(s) of a grid's piecewise-linear density: the CDF is
+    quadratic on each segment and inverted in closed form."""
+    u = np.atleast_1d(np.asarray(q, dtype=float))
+    if np.any((u < 0) | (u > 1)):
+        raise InvalidArgumentError("quantile levels must lie in [0, 1]")
+    points, dens = grid.points, grid.densities
     h = np.diff(points)
     d0, d1 = dens[:-1], dens[1:]
     seg_mass = 0.5 * (d0 + d1) * h
@@ -442,15 +364,7 @@ def _inverse_cdf(points: np.ndarray, dens: np.ndarray, u: np.ndarray) -> np.ndar
     disc = np.sqrt(np.maximum(d0[k] * d0[k] + 2.0 * slope * m, 0.0))
     denom = d0[k] + disc
     y = np.where(denom > 0, 2.0 * m / np.where(denom > 0, denom, 1.0), 0.0)
-    return points[k] + np.minimum(y, h[k])
-
-
-def grid_quantile(grid: DensityGrid, q) -> np.ndarray | float:
-    """Quantile(s) of a density grid via exact piecewise inversion."""
-    q_arr = np.atleast_1d(np.asarray(q, dtype=float))
-    if np.any((q_arr < 0) | (q_arr > 1)):
-        raise InvalidArgumentError("quantile levels must lie in [0, 1]")
-    out = _inverse_cdf(grid.points, grid.densities, q_arr)
+    out = points[k] + np.minimum(y, h[k])
     return float(out[0]) if np.isscalar(q) or np.ndim(q) == 0 else out
 
 
@@ -458,15 +372,3 @@ def grid_mean(grid: DensityGrid) -> float:
     """Mean of the (normalized) grid density."""
     weight = grid.total_mass()
     return float(np.trapezoid(grid.points * grid.densities, grid.points) / weight)
-
-
-def sample_from_grid(grid: DensityGrid, count: int, seed: int) -> SampleSet:
-    """Deterministic draws from a density grid by inverse-CDF transform of
-    seeded uniforms. Identical seeds give identical output."""
-    if count <= 0:
-        raise InvalidArgumentError("count must be positive")
-    if seed < 0:
-        raise InvalidArgumentError("seed must be a nonnegative integer")
-    rng = np.random.default_rng(seed)
-    u = rng.random(count)
-    return SampleSet(_inverse_cdf(grid.points, grid.densities, u), seed=seed)

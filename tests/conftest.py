@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bayesindices import DensityGrid, SampleSet
+from bayesindices import DensityGrid
 from bayesindices.replicate import reference_analysis
 
 
@@ -17,9 +17,3 @@ def normal_grid():
     x = np.linspace(-8.0, 8.0, 4097)
     dens = np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi)
     return DensityGrid(x, dens)
-
-
-@pytest.fixture(scope="session")
-def normal_draws_100k():
-    rng = np.random.default_rng(6)
-    return SampleSet(rng.standard_normal(100_000), seed=6)

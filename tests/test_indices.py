@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from bayesindices import (
     LEE_WAGENMAKERS2013,
     ReferenceFunction,
     Rope,
-    SampleSet,
     categorize_bf,
     fbst_evalue,
     hpd_interval,
@@ -155,17 +156,19 @@ def test_hpd_share_rope_mass_of_reference(reference):
     assert reference["rope_mass"] == pytest.approx(0.0316, abs=0.005)
 
 
-def test_rope_mass_matches_draw_counting(reference):
-    # the HPD-conditional share computed from seeded draws (count draws in
-    # ROPE among draws inside the HPD) agrees with the grid value
-    from bayesindices import sample_from_grid
+@pytest.mark.parametrize("mu, sd", [(0.05, 0.1), (0.12, 0.05), (-0.03, 0.2), (0.0, 0.04)])
+def test_rope_mass_matches_normal_closed_form(mu, sd):
+    # the 95% HPD of a normal is mu -+ z sd, so the HPD-conditional ROPE share
+    # is the normal mass of ROPE intersect HPD over 0.95
+    def cdf(x):
+        return 0.5 * math.erfc((mu - x) / (sd * math.sqrt(2.0)))
 
-    posterior = reference["posterior"]
-    draws = sample_from_grid(posterior, 400_000, seed=314).values
-    hpd = hpd_interval(SampleSet(draws), 0.95)
-    inside_hpd = draws[(draws >= hpd.lower) & (draws <= hpd.upper)]
-    share = np.mean((inside_hpd >= -0.1) & (inside_hpd <= 0.1))
-    assert share == pytest.approx(reference["rope_mass"], abs=0.003)
+    grid = shifted_normal_grid(mu=mu, sd=sd, lo=mu - 10 * sd, hi=mu + 10 * sd, n=4001)
+    rope = Rope(-0.1, 0.1)
+    z = 1.959963984540054  # the normal's 0.975 quantile
+    a, b = max(rope.lower, mu - z * sd), min(rope.upper, mu + z * sd)
+    expected = (cdf(b) - cdf(a)) / 0.95
+    assert rope_mass(grid, rope, 0.95) == pytest.approx(expected, abs=1e-5)
 
 
 def test_rope_mass_disjoint_hpd_is_zero():
@@ -217,12 +220,6 @@ def test_pd_symmetric_grid(normal_grid):
     assert probability_of_direction(normalize_grid(normal_grid)) == pytest.approx(0.5, abs=1e-3)
 
 
-def test_pd_all_positive_draws():
-    rng = np.random.default_rng(11)
-    ss = SampleSet(rng.uniform(0.5, 2.0, size=500))
-    assert probability_of_direction(ss) == 1.0
-
-
 def test_pd_negative_median_counts_negative_mass():
     grid = shifted_normal_grid(mu=-1.0)
     pd = probability_of_direction(grid)
@@ -230,9 +227,27 @@ def test_pd_negative_median_counts_negative_mass():
     assert pd > 0.8
 
 
-def test_pd_sample_set_side():
-    ss = SampleSet(np.array([-1.0] * 30 + [2.0] * 70))
-    assert probability_of_direction(ss) == pytest.approx(0.7)
+def test_mass_reading_indices_refuse_an_unnormalized_grid():
+    # a normal at twice its height: absolute masses would double (HPD
+    # 0.3 -+ 0.636, pd 1, e-value 0.472, ROPE share 0.160)
+    x = np.linspace(-6.0, 6.0, 1201)
+    grid = normalize_grid(DensityGrid(x, np.exp(-0.5 * (x - 0.3) ** 2)))
+    doubled = DensityGrid(x, 2.0 * grid.densities)
+    flat = ReferenceFunction.flat()
+    for index in (
+        lambda g: hpd_interval(g, 0.95),
+        probability_of_direction,
+        lambda g: fbst_evalue(g, flat, 0.0),
+        lambda g: rope_mass(g, Rope(-0.1, 0.1), 0.95),
+    ):
+        with pytest.raises(InvalidArgumentError, match="normalize_grid"):
+            index(doubled)
+    normalized = normalize_grid(doubled)
+    hpd = hpd_interval(normalized, 0.95)
+    assert (hpd.lower, hpd.upper) == pytest.approx((0.3 - 1.959964, 0.3 + 1.959964), abs=1e-4)
+    assert probability_of_direction(normalized) == pytest.approx(0.617911, abs=1e-5)
+    assert fbst_evalue(normalized, flat, 0.0).ev_against == pytest.approx(0.235823, abs=1e-5)
+    assert rope_mass(normalized, Rope(-0.1, 0.1), 0.95) == pytest.approx(0.080171, abs=1e-5)
 
 
 # ---------------------------------------------------------------- surprise and e-value

@@ -5,41 +5,20 @@ from bayesindices import (
     CredibleInterval,
     DensityGrid,
     ReferenceFunction,
-    SampleSet,
     hpd_interval,
-    kde_density,
     level_set_mass,
     map_estimate,
     mass_in_interval,
     normalize_grid,
-    sample_from_grid,
-    silverman_bandwidth,
 )
 from bayesindices.errors import (
     DegenerateDensityError,
-    InsufficientSamplesError,
     InvalidArgumentError,
     MultimodalHpdError,
 )
 from bayesindices.posterior import _hpd_threshold, _level_mass
 
-INV_SQRT_2PI = 1.0 / np.sqrt(2 * np.pi)
-
-
 # ---------------------------------------------------------------- types
-
-def test_sample_set_validation():
-    with pytest.raises(InvalidArgumentError):
-        SampleSet([])
-    with pytest.raises(InvalidArgumentError):
-        SampleSet([1.0, np.nan])
-    with pytest.raises(InvalidArgumentError):
-        SampleSet([[1.0, 2.0]])
-    ss = SampleSet([1.0, 2.0], seed=7)
-    assert len(ss) == 2 and ss.seed == 7
-    with pytest.raises(ValueError):
-        ss.values[0] = 5.0  # immutable
-
 
 def test_density_grid_validation():
     x = np.linspace(0, 1, 64)
@@ -52,6 +31,11 @@ def test_density_grid_validation():
         DensityGrid(x, -np.ones(64))  # negative densities
     with pytest.raises(InvalidArgumentError):
         DensityGrid(x, np.ones(63))  # length mismatch
+    grid = DensityGrid(x, np.ones(64))
+    with pytest.raises(ValueError):
+        grid.points[0] = 5.0  # immutable
+    with pytest.raises(ValueError):
+        grid.densities[0] = 5.0
 
 
 def test_credible_interval_validation():
@@ -69,41 +53,6 @@ def test_reference_function_validation():
         ReferenceFunction("prior", None)
     with pytest.raises(InvalidArgumentError):
         ReferenceFunction("banana")
-
-
-# ---------------------------------------------------------------- kde
-
-def test_kde_matches_normal_pdf_at_zero():
-    rng = np.random.default_rng(101)
-    draws = SampleSet(rng.standard_normal(10_000))
-    grid = kde_density(draws)
-    assert float(grid.density_at(0.0)) == pytest.approx(INV_SQRT_2PI, abs=0.02)
-
-
-def test_kde_normalized():
-    rng = np.random.default_rng(5)
-    grid = kde_density(SampleSet(rng.exponential(size=2_000)))
-    assert grid.total_mass() == pytest.approx(1.0, abs=1e-6)
-
-
-def test_kde_insufficient_samples():
-    with pytest.raises(InsufficientSamplesError):
-        kde_density(SampleSet(np.arange(50, dtype=float)))
-
-
-def test_kde_bad_bandwidth():
-    rng = np.random.default_rng(5)
-    with pytest.raises(InvalidArgumentError):
-        kde_density(SampleSet(rng.standard_normal(200)), bandwidth=0.0)
-
-
-def test_silverman_bandwidth_formula():
-    rng = np.random.default_rng(99)
-    values = rng.standard_normal(4_000)
-    sd = np.std(values)
-    iqr = np.subtract(*np.percentile(values, [75, 25]))
-    expected = 0.9 * min(sd, iqr / 1.34) * 4_000 ** (-0.2)
-    assert silverman_bandwidth(values) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------- normalize
@@ -128,39 +77,15 @@ def test_normalize_zero_grid():
 
 # ---------------------------------------------------------------- hpd
 
-def test_hpd_samples_standard_normal(normal_draws_100k):
-    got = hpd_interval(normal_draws_100k, 0.95)
-    assert got.lower == pytest.approx(-1.96, abs=0.03)
-    assert got.upper == pytest.approx(1.96, abs=0.03)
-
-
 def test_hpd_grid_standard_normal(normal_grid):
     got = hpd_interval(normalize_grid(normal_grid), 0.95)
     assert got.lower == pytest.approx(-1.959964, abs=2e-4)
     assert got.upper == pytest.approx(1.959964, abs=2e-4)
 
 
-def test_hpd_samples_matches_exhaustive_scan():
-    rng = np.random.default_rng(7)
-    values = np.sort(rng.gamma(3.0, 1.0, size=5_000))
-    got = hpd_interval(SampleSet(values), 0.9)
-    m = int(np.ceil(0.9 * values.size))
-    best = None
-    for i in range(values.size - m + 1):
-        width = values[i + m - 1] - values[i]
-        if best is None or width < best[0]:
-            best = (width, values[i], values[i + m - 1])
-    assert (got.lower, got.upper) == (best[1], best[2])
-
-
-def test_hpd_mass_validation(normal_draws_100k):
+def test_hpd_mass_validation(normal_grid):
     with pytest.raises(InvalidArgumentError):
-        hpd_interval(normal_draws_100k, 1.2)
-
-
-def test_hpd_insufficient_samples():
-    with pytest.raises(InsufficientSamplesError):
-        hpd_interval(SampleSet(np.arange(99, dtype=float)), 0.95)
+        hpd_interval(normalize_grid(normal_grid), 1.2)
 
 
 @pytest.mark.parametrize("mass", [0.5, 0.9, 0.95, 0.99])
@@ -249,11 +174,6 @@ def test_mass_order_validation(normal_grid):
         mass_in_interval(normal_grid, 1.0, -1.0)
 
 
-def test_mass_samples_counts():
-    ss = SampleSet(np.arange(10, dtype=float))
-    assert mass_in_interval(ss, 2.0, 5.0) == pytest.approx(0.4)
-
-
 def test_mass_partial_segment_matches_analytic(normal_grid):
     from scipy.stats import norm
     grid = normalize_grid(normal_grid)
@@ -330,29 +250,3 @@ def test_level_set_monotone_in_threshold(normal_grid):
     thresholds = np.linspace(0, grid.densities.max() * 1.1, 40)
     masses = [level_set_mass(grid, t) for t in thresholds]
     assert all(b >= a for a, b in zip(masses, masses[1:]))
-
-
-# ---------------------------------------------------------------- sampling
-
-def test_sample_from_grid_moments(normal_grid):
-    ss = sample_from_grid(normalize_grid(normal_grid), 100_000, seed=11)
-    assert ss.values.mean() == pytest.approx(0.0, abs=0.02)
-    assert ss.values.std() == pytest.approx(1.0, abs=0.02)
-    assert ss.seed == 11
-
-
-def test_sample_from_grid_deterministic(normal_grid):
-    a = sample_from_grid(normal_grid, 1_000, seed=3)
-    b = sample_from_grid(normal_grid, 1_000, seed=3)
-    assert np.array_equal(a.values, b.values)
-
-
-def test_sample_from_grid_zero_count(normal_grid):
-    with pytest.raises(InvalidArgumentError):
-        sample_from_grid(normal_grid, 0, seed=1)
-
-
-def test_sample_values_inside_support(normal_grid):
-    ss = sample_from_grid(normal_grid, 10_000, seed=2)
-    lo, hi = normal_grid.support
-    assert ss.values.min() >= lo and ss.values.max() <= hi

@@ -6,18 +6,13 @@ import pytest
 from bayesindices import (
     CauchyPrior,
     DensityGrid,
-    SampleSet,
     SufficientStats,
-    hpd_interval,
-    kde_density,
     map_estimate,
     map_p_value,
-    mass_in_interval,
     normalize_grid,
     posterior_density_grid,
     probability_of_direction,
     rope_decision,
-    sample_from_grid,
 )
 from bayesindices.indices import Rope
 
@@ -29,8 +24,6 @@ def _stats(t, n=50):
 def test_every_operation_returns_normalized_grids():
     rng = np.random.default_rng(23)
     grids = [
-        kde_density(SampleSet(rng.standard_normal(5_000))),
-        kde_density(SampleSet(rng.gamma(2.0, 1.0, 3_000)), bandwidth=0.25),
         posterior_density_grid(_stats(1.7), CauchyPrior(1.0)),
         posterior_density_grid(_stats(0.0, n=12), CauchyPrior(np.sqrt(2))),
         posterior_density_grid(_stats(3.3, n=80), CauchyPrior(np.sqrt(2) / 2), grid_size=2048),
@@ -38,26 +31,6 @@ def test_every_operation_returns_normalized_grids():
     ]
     for grid in grids:
         assert grid.total_mass() == pytest.approx(1.0, abs=1e-6)
-
-
-def test_hpd_consistency_on_large_sample_sets():
-    rng = np.random.default_rng(31)
-    for draw in (rng.standard_normal(20_000), rng.gamma(3.0, 2.0, 10_000)):
-        ss = SampleSet(draw)
-        for mass in (0.8, 0.9, 0.95):
-            hpd = hpd_interval(ss, mass)
-            assert mass_in_interval(ss, hpd.lower, hpd.upper) >= mass - 0.01
-
-
-def test_kde_error_shrinks_with_sample_size():
-    # same seed family, growing draws from a standard normal
-    def max_abs_error(n):
-        rng = np.random.default_rng(1234)
-        grid = kde_density(SampleSet(rng.standard_normal(n)))
-        truth = np.exp(-0.5 * grid.points**2) / np.sqrt(2 * np.pi)
-        return float(np.max(np.abs(grid.densities - truth)))
-
-    assert max_abs_error(1_000_000) < max_abs_error(10_000)
 
 
 def test_rope_verdict_invariant_under_affine_rescaling():
@@ -76,12 +49,15 @@ def test_rope_verdict_invariant_under_affine_rescaling():
 
 
 def test_pd_invariant_under_odd_increasing_transform():
-    rng = np.random.default_rng(55)
-    for _ in range(5):
-        values = rng.standard_normal(2_000) + rng.uniform(-1, 1)
-        ss = SampleSet(values)
-        transformed = SampleSet(np.sign(values) * np.abs(values) ** 3)
-        assert probability_of_direction(transformed) == probability_of_direction(ss)
+    # y = x + x^3 keeps every sign, so the mass on the median's side is the
+    # same; the density of y is the density of x over dy/dx = 1 + 3x^2
+    x = np.linspace(-6, 6, 3001)
+    for mu in (-0.7, 0.2, 0.9):
+        grid = normalize_grid(DensityGrid(x, np.exp(-0.5 * (x - mu) ** 2)))
+        transformed = normalize_grid(DensityGrid(x + x**3, grid.densities / (1 + 3 * x * x)))
+        assert probability_of_direction(transformed) == pytest.approx(
+            probability_of_direction(grid), abs=1e-5
+        )
 
 
 def test_p_map_is_one_exactly_at_the_mode():
@@ -92,16 +68,3 @@ def test_p_map_is_one_exactly_at_the_mode():
         assert map_p_value(grid, loc) == pytest.approx(1.0, abs=1e-6)
         off = map_p_value(grid, loc + 0.5)
         assert off < 1.0 - 1e-3
-
-
-def test_sampling_pathway_agrees_with_grid_pathway(reference):
-    # indices computed from grid draws approximate the deterministic values
-    posterior = reference["posterior"]
-    draws = sample_from_grid(posterior, 200_000, seed=99)
-    assert probability_of_direction(draws) == pytest.approx(reference["pd"], abs=0.005)
-    hpd = hpd_interval(draws, 0.95)
-    assert hpd.lower == pytest.approx(reference["hpd"][0], abs=0.02)
-    assert hpd.upper == pytest.approx(reference["hpd"][1], abs=0.02)
-    assert mass_in_interval(draws, -0.1, 0.1) == pytest.approx(
-        mass_in_interval(posterior, -0.1, 0.1), abs=0.005
-    )
