@@ -42,7 +42,8 @@ class OutOfSupportError(BayesIndicesError):
 
 
 class TruncatedSupportError(BayesIndicesError):
-    """A grid window clips a non-negligible share of probability mass."""
+    """A posterior grid's mass misses the evidence by a non-negligible share:
+    its edges clip the posterior, or its points are too coarse for it."""
 
 
 class InputError(BayesIndicesError):

@@ -210,6 +210,7 @@ def level_set_mass(posterior: DensityGrid, threshold: float) -> float:
     """Posterior mass of the sublevel set {x : density(x) <= threshold}."""
     if threshold < 0:
         raise InvalidArgumentError("threshold must be nonnegative")
+    _require_normalized(posterior, "level_set_mass")
     return _clipped_level_mass(
         posterior.points, posterior.densities, posterior.densities, threshold
     )

@@ -12,7 +12,9 @@ delta to one-dimensional numerics:
 Bayes factors use the equivalent g-mixture form of the Cauchy prior (Rouder
 et al. 2009), times a Student-t CDF under a one-sided prior: one fixed
 Gauss-Legendre rule in log space that returns log bf01 and needs no
-noncentral t, whose one production caller is the posterior grid.
+noncentral t, whose one production caller is the posterior grid. The same
+pass gives the evidence bf10 * t_df(t) that the grid's unnormalized mass
+must match, so one pass certifies the grid and serves the Bayes factor.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -63,10 +66,8 @@ _FINE_REACH = 10.0
 _SPIKE_REACH = 30.0
 _SPIKE_BELOW = 3.0
 _MIN_GAP = 0.5
-# share of probability mass allowed beyond either grid edge, and the points
-# on each margin that estimate it
+# relative miss allowed between the grid's unnormalized mass and the evidence
 TRUNCATION_LIMIT = 1e-3
-_MARGIN_POINTS = 64
 
 # Bayes factor: Gauss-Legendre nodes in x = log g, and the reach of
 # the bracket below the prior peak (the integrand falls like exp(-e^-x / 2)
@@ -633,10 +634,12 @@ def _effect_location(stats: SufficientStats) -> tuple[float, float]:
     return d, math.sqrt(1.0 / stats.n_eff + d * d / (2.0 * stats.df))
 
 
+@lru_cache(maxsize=16)
 def _g_mixture_log_bf10(
     stats: SufficientStats, prior: CauchyPrior
 ) -> tuple[float, float, float | None]:
-    """log bf10, its relative error and d log bf01 / dy, from one pass.
+    """log bf10, its relative error and d log bf01 / dy, from one pass,
+    cached: the posterior grid and the Bayes factor of one analysis share it.
 
     The Cauchy prior is a normal scale mixture: delta ~ N(0, g * scale^2)
     with g ~ InvGamma(1/2, 1/2) (Rouder et al. 2009). Given g, t is
@@ -770,9 +773,7 @@ def posterior_density_grid(
 
     The prior picks the form: the grid lies within its ``support``. With
     default bounds it is [-3, 3], widened to cover six standard errors
-    around the sample effect. Explicit bounds are honoured as given and
-    checked: if an edge inside the support clips 0.1% or more of the
-    posterior mass a TruncatedSupportError is raised.
+    around the sample effect. Explicit bounds are honoured as given.
 
     The points follow the posterior (`_grid_points`): a coarse base over the
     whole grid keeps wide small-sample posteriors dense; a fine segment
@@ -783,12 +784,13 @@ def posterior_density_grid(
     scales around the prior's spike. ``anchors`` (the null and the ROPE
     edges) are grid points wherever they lie inside the grid.
 
-    The clipped mass comes from `_MARGIN_POINTS` points on the margin
-    beyond each such edge, a quarter of the range wide but ending at the
-    support's end. The margins feed only that 0.1% test, never an index, so
-    they need the share to some percent, not to the kernel's 1e-12: near the
-    limit 64 points came within about 15% of a 2^14-point margin, and no
-    design of a random sweep was decided differently.
+    The grid is checked against the evidence m1 = bf10 * t_df(t) of the
+    g-mixture pass (`_g_mixture_log_bf10`), halved on a half-line since the
+    grid carries the plain Cauchy density: if its unnormalized trapezoidal
+    mass misses m1 by TRUNCATION_LIMIT (0.1%) or more a TruncatedSupportError
+    is raised. That one test covers mass clipped at either edge, default or
+    explicit, and the quadrature error of a grid too coarse for its
+    posterior.
 
     A grid whose density peaks below the normal double range is refused
     with a DegenerateDataError: its normalization would divide by a
@@ -820,33 +822,24 @@ def posterior_density_grid(
         spike = _SPIKE_REACH * prior.scale
         segments.append((-spike, spike, _SPIKE_SHARE))
     points = _grid_points(lo, hi, segments, anchors, grid_size)
-    # estimate the clipped tail with margin extensions of a quarter range,
-    # evaluated with the core grid in one noncentral-t call
-    margin = 0.25 * (hi - lo)
-    outer_lo, outer_hi = max(lo - margin, floor), min(hi + margin, ceiling)
-    left = np.linspace(outer_lo, lo, _MARGIN_POINTS) if lo > floor else points[:0]
-    right = np.linspace(hi, outer_hi, _MARGIN_POINTS) if hi < ceiling else points[:0]
-    everywhere = np.concatenate((points, left, right))
     # all points lie in the support, where a half-line prior is twice the
     # Cauchy density; normalization cancels the 2
-    unnormalized = noncentral_t_pdf(
-        stats.t, stats.df, everywhere * math.sqrt(stats.n_eff)
-    ) * CauchyPrior(prior.scale).density(everywhere)
-    peak = float(unnormalized.max())
+    values = noncentral_t_pdf(
+        stats.t, stats.df, points * math.sqrt(stats.n_eff)
+    ) * CauchyPrior(prior.scale).density(points)
+    peak = float(values.max())
     if not peak >= np.finfo(float).tiny:
         raise DegenerateDataError(
             f"posterior density underflows on the requested grid (peak {peak:.3g})"
         )
-    values, left_values, right_values = np.split(unnormalized, [grid_size, grid_size + left.size])
-    mass_core = np.trapezoid(values, points)
-    mass_left = float(np.trapezoid(left_values, left)) if left.size else 0.0
-    mass_right = float(np.trapezoid(right_values, right)) if right.size else 0.0
-    total = mass_core + mass_left + mass_right
-    if mass_left / total >= TRUNCATION_LIMIT or mass_right / total >= TRUNCATION_LIMIT:
-        raise TruncatedSupportError(
-            f"grid [{lo:g}, {hi:g}] clips {(mass_left + mass_right) / total:.2%} "
-            "of the posterior mass; widen the bounds"
-        )
+    log_evidence = _g_mixture_log_bf10(stats, prior)[0] + _log_central_t_pdf(stats.t, stats.df)
+    if prior.alternative != TWO_SIDED:
+        log_evidence -= _LOG_2
+    miss = math.expm1(math.log(np.trapezoid(values, points)) - log_evidence)
+    if abs(miss) >= TRUNCATION_LIMIT:
+        found = (f"clips {-miss:.2%} of the posterior mass; widen the bounds or add grid points"
+                 if miss < 0.0 else f"over-counts the posterior mass by {miss:.2%}; add grid points")
+        raise TruncatedSupportError(f"grid [{lo:g}, {hi:g}] {found}")
     return normalize_grid(DensityGrid(points, values))
 
 

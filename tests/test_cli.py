@@ -342,6 +342,20 @@ def test_analyze_grid_size_sets_the_grid_points(sim_csv, capsys):
         assert report["diagnostics"]["grid_points"] == int(size)
 
 
+def test_analyze_refuses_a_grid_too_coarse_for_its_posterior(tmp_path, capsys):
+    # 64 points under a prior 1e-3 wide: the grid's mass is 43% off the
+    # evidence and its Savage-Dickey bf01 read 0.700 against an analytic 1.002
+    path = str(tmp_path / "d.csv")
+    assert main(["simulate", "--seed", "11", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["analyze", path, "--grid-size", "64", "--prior-scale", "0.001"]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: TruncatedSupportError: grid [-3, 3] over-counts the posterior "
+        "mass by 43.07%; add grid points\n"
+    )
+    assert main(["analyze", path, "--prior-scale", "0.001"]) == 0
+
+
 @pytest.mark.parametrize("alternative, log_bf01", [
     ("greater", -430.69488474181657),
     ("less", 13.794293939892945),

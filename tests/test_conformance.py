@@ -185,6 +185,6 @@ def test_sweep_savage_dickey_matches_the_analytic_bayes_factor():
         analytic, sd = report.indices["bf01_analytic"], report.indices["bf01_savage_dickey"]
         if analytic is None or sd is None:
             continue
-        assert abs(sd - analytic) <= 0.01 * analytic, d
+        assert abs(sd - analytic) <= 1e-3 * analytic, d
         checked += 1
     assert checked >= 300

@@ -230,6 +230,18 @@ def test_level_set_negative_threshold(normal_grid):
         level_set_mass(normal_grid, -0.1)
 
 
+def test_level_set_refuses_an_unnormalized_grid():
+    # a normal at twice its height: the sublevel set of its own density at
+    # 0 would hold 1.528, clipped to 1.0; the normalized copy holds
+    # P(|x - 0.3| >= 0.3) = 0.764
+    x = np.linspace(-6.0, 6.0, 1201)
+    doubled = DensityGrid(x, 2.0 * np.exp(-0.5 * (x - 0.3) ** 2) / np.sqrt(2 * np.pi))
+    with pytest.raises(InvalidArgumentError, match="normalize_grid"):
+        level_set_mass(doubled, float(doubled.densities[600]))
+    grid = normalize_grid(doubled)
+    assert level_set_mass(grid, float(grid.densities[600])) == pytest.approx(0.764, abs=1e-3)
+
+
 def test_level_set_matches_fine_grid_oracle():
     # brute-force integration on a 10x finer grid
     rng = np.random.default_rng(42)

@@ -89,6 +89,19 @@ def test_analysis_reads_one_prior(alternative):
     assert analysis.bayes_factor() == jzs_bayes_factor(stats, analysis.prior)
 
 
+@pytest.mark.parametrize("alternative", ["two-sided", "greater", "less"])
+def test_report_runs_the_g_mixture_integral_once(alternative):
+    # the posterior grid checks its mass against the pass the Bayes factor
+    # then reads from the cache
+    from bayesindices.ttest import _g_mixture_log_bf10
+
+    stats = SufficientStats(t=1.7, df=98, n_eff=25.0, n1=50, n2=50)
+    _g_mixture_log_bf10.cache_clear()
+    analyze(stats, AnalysisConfig(alternative=alternative)).report()
+    info = _g_mixture_log_bf10.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 @pytest.mark.parametrize("hpd_mass, label", [
     (0.57, "57% HPD"), (0.29, "29% HPD"), (0.58, "58% HPD"), (0.975, "97.5% HPD"),
     (0.95, "95% HPD"),

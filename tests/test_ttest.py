@@ -321,7 +321,7 @@ def test_nct_rows_agree_with_shared_windows(monkeypatch):
 
 def test_default_posterior_grids_are_certified_everywhere(monkeypatch):
     # over n = 2..1e5 per group and |t| up to 45, every point of the default
-    # grid and its margins is certified on the first pass: none is retried
+    # grid is certified on the first pass: none is retried
     from bayesindices import ttest
 
     calls = _spy_kernel(monkeypatch)
@@ -466,8 +466,8 @@ def test_posterior_grid_one_sided():
 
 
 def test_posterior_grid_honours_explicit_one_sided_bounds():
-    # the bounds stay as given inside the half-line; only the edge that lies
-    # inside the support has a margin, which still refuses a clipping grid
+    # the bounds stay as given inside the half-line, and the evidence check
+    # still refuses a grid that clips the posterior
     cases = ((10.0, "greater", (0.5, 2.0)), (10.0, "greater", (0.1, 2.0)),
              (-10.0, "less", (-2.0, -0.5)))
     for t, alternative, bounds in cases:
@@ -476,8 +476,8 @@ def test_posterior_grid_honours_explicit_one_sided_bounds():
         assert grid.support == bounds
         with pytest.raises(TruncatedSupportError):
             posterior_density_grid(_stats(t / 5.0, 50), prior, *bounds)
-    # a margin nearer than a quarter range stops at zero, where the prior
-    # jumps: the reported share then matches a fine trapezoid on [0, 0.1]
+    # the prior jumps at zero: the reported share matches a fine trapezoid
+    # on [0, 0.1]
     st = _stats(3.0, 50)
     x = np.linspace(0.0, 2.475, 2 ** 16)
     product = noncentral_t_pdf(st.t, st.df, x * math.sqrt(st.n_eff)) / (1.0 + x * x)
@@ -490,12 +490,59 @@ def test_posterior_grid_honours_explicit_one_sided_bounds():
     assert grid.support == (-2.0, 0.0)
 
 
+def test_posterior_grid_refuses_a_grid_too_coarse_for_its_posterior():
+    # 64 points on [-3, 3] hardly resolve a prior spike 1e-3 wide: their
+    # trapezoid misses the evidence by 20%, though no edge clips any mass
+    with pytest.raises(TruncatedSupportError, match="clips 20.35% "):
+        posterior_density_grid(_stats(2.0), CauchyPrior(1e-3), grid_size=64)
+    grid = posterior_density_grid(_stats(2.0), CauchyPrior(1e-3))
+    assert grid.points.size == 2048
+
+
+def test_default_posterior_grid_is_one_kernel_call_on_its_own_points(monkeypatch):
+    # the evidence check needs no points beyond the grid's
+    from bayesindices import ttest
+
+    calls = []
+    pdf = ttest.noncentral_t_pdf
+
+    def spy(x, df, ncp):
+        calls.append(np.asarray(ncp).size)
+        return pdf(x, df, ncp)
+
+    monkeypatch.setattr(ttest, "noncentral_t_pdf", spy)
+    for alternative in ("two-sided", "greater", "less"):
+        grid = posterior_density_grid(_stats(2.0), CauchyPrior(0.707, alternative))
+        assert calls == [grid.points.size] == [ttest.DEFAULT_GRID_SIZE]
+        calls.clear()
+
+
 def _unbalanced(t, n1, n2):
     return SufficientStats(t=t, df=n1 + n2 - 2, n_eff=n1 * n2 / (n1 + n2), n1=n1, n2=n2)
 
 
 _LAYOUT_DESIGNS = [(3, 3, 2.5, 0.707), (50, 50, 2.0, 1e-3), (2000, 2000, 2.0, 0.707),
                    (10**5, 10**5, 3.0, 0.707), (30, 3000, -5.0, 3.0), (200, 200, -4.0, 1.0)]
+# the designs whose 64-point default grid misses the evidence by 0.1% or
+# more, by alternative: they are refused
+_COARSE_AT_64 = {
+    "two-sided": {(50, 50, 2.0, 1e-3), (2000, 2000, 2.0, 0.707)},
+    "greater": {(50, 50, 2.0, 1e-3), (2000, 2000, 2.0, 0.707), (30, 3000, -5.0, 3.0),
+                (200, 200, -4.0, 1.0)},
+    "less": {(3, 3, 2.5, 0.707), (50, 50, 2.0, 1e-3), (2000, 2000, 2.0, 0.707),
+             (10**5, 10**5, 3.0, 0.707)},
+}
+
+
+def _assert_no_squeezed_gap(points):
+    # a merged anchor's stretch keeps at least half a step and a
+    # neighbouring step is at most one and a half: no gap is below a
+    # third of the smallest other gap within three points
+    gaps = np.diff(points)
+    padded = np.r_[np.full(3, np.inf), gaps, np.full(3, np.inf)]
+    window = np.lib.stride_tricks.sliding_window_view(padded, 7).copy()
+    window[:, 3] = np.inf
+    assert np.all(gaps >= window.min(axis=1) / 3.0)
 
 
 @pytest.mark.parametrize("alternative, bounds", [
@@ -510,12 +557,14 @@ def test_posterior_grid_layout(alternative, bounds, size):
     prior_support = CauchyPrior(1.0, alternative).support
     for n1, n2, t, scale in _LAYOUT_DESIGNS:
         prior = CauchyPrior(scale, alternative)
+        coarse = bounds is None and size == 64 and (n1, n2, t, scale) in _COARSE_AT_64[alternative]
         try:
             grid = posterior_density_grid(_unbalanced(t, n1, n2), prior,
                                           *(bounds or ()), grid_size=size, anchors=anchors)
         except TruncatedSupportError:
-            assert bounds is not None
+            assert bounds is not None or coarse, (n1, t, scale)
             continue
+        assert not coarse, (n1, t, scale)
         points = grid.points
         assert points.size == size
         gaps = np.diff(points)
@@ -529,13 +578,19 @@ def test_posterior_grid_layout(alternative, bounds, size):
         for x in anchors:
             if points[0] <= x <= points[-1] and size >= 1000:
                 assert x in points, (n1, t, scale, x)
-        # a merged anchor's stretch keeps at least half a step and a
-        # neighbouring step is at most one and a half: no gap is below a
-        # third of the smallest other gap within three points
-        padded = np.r_[np.full(3, np.inf), gaps, np.full(3, np.inf)]
-        window = np.lib.stride_tricks.sliding_window_view(padded, 7).copy()
-        window[:, 3] = np.inf
-        assert np.all(gaps >= window.min(axis=1) / 3.0), (n1, t, scale)
+        _assert_no_squeezed_gap(points)
+
+
+def test_grid_points_merge_an_anchor_closer_than_half_a_step():
+    # 64 points over a range of 13 are 0.21 apart: the anchor 0 lies 0.48
+    # of a step from -0.1 and merges into it, while 0.1 keeps its point
+    from bayesindices.ttest import _grid_points
+
+    points = _grid_points(-4.5, 8.6, [(-4.5, 8.6, 1.0)], (0.0, -0.1, 0.1), 64)
+    assert points.size == 64 and np.all(np.diff(points) > 0)
+    assert (points[0], points[-1]) == (-4.5, 8.6)
+    assert -0.1 in points and 0.0 not in points and 0.1 in points
+    _assert_no_squeezed_gap(points)
 
 
 def test_posterior_grid_follows_the_posterior():
