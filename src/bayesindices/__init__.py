@@ -51,7 +51,6 @@ from .ttest import (
 from .indices import (
     ALL_SCALES,
     BF01_CUTPOINTS,
-    DEFAULT_EFFECT_SIZE_ROPE,
     EvidenceScale,
     FbstResult,
     GOODMAN1999,
@@ -104,9 +103,8 @@ __all__ = [
     "jzs_bayes_factor", "noncentral_t_pdf", "posterior_density_grid",
     "simulate_two_sample", "sufficient_stats",
     # indices
-    "ALL_SCALES", "BF01_CUTPOINTS", "DEFAULT_EFFECT_SIZE_ROPE",
-    "EvidenceScale", "FbstResult", "GOODMAN1999",
-    "HELD_OTT2016", "JEFFREYS1961", "LEE_WAGENMAKERS2013", "Rope",
+    "ALL_SCALES", "BF01_CUTPOINTS", "EvidenceScale", "FbstResult",
+    "GOODMAN1999", "HELD_OTT2016", "JEFFREYS1961", "LEE_WAGENMAKERS2013", "Rope",
     "RopeDecision", "categorize_bf", "fbst_evalue", "map_p_value",
     "posterior_median", "probability_of_direction", "rope_decision",
     "rope_mass", "rope_verdict", "savage_dickey_bf", "surprise_function",

@@ -38,7 +38,9 @@ INDECISIVE = "indecisive"
 
 @dataclass(frozen=True)
 class Rope:
-    """Region of practical equivalence around a null value."""
+    """Region of practical equivalence around a null value. The default,
+    +-0.1, is half of a small effect, the conventional equivalence band for
+    effect sizes."""
 
     lower: float = -0.1
     upper: float = 0.1
@@ -51,10 +53,6 @@ class Rope:
 
     def contains(self, x: float) -> bool:
         return self.lower <= x <= self.upper
-
-
-# half of a small effect, the conventional equivalence band for effect sizes
-DEFAULT_EFFECT_SIZE_ROPE = Rope(-0.1, 0.1)
 
 
 @dataclass(frozen=True)

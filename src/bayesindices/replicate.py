@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -95,11 +96,19 @@ def calibrate_reference_t(
     step leaves on an end's side: that end is then evaluated, refused when
     its sign is wrong, and iterated from otherwise. The iteration stops
     once a step moves t by no more than `_CALIBRATION_T_TOL`; a bisection
-    step counts only once both ends of the bracket have been evaluated.
+    step counts only once both ends of the bracket have been evaluated. It
+    also stops at an evaluation whose log bf01 is within rounding of the
+    target's: near t = 0, t = sqrt(df (e^y - 1)) magnifies that rounding
+    far beyond the step tolerance, so steps would only jitter.
     """
     prior = CauchyPrior(prior_scale)
-    # no t reaches a nonpositive target; the bracket check below refuses it
-    log_target = math.log(bf01_target) if bf01_target > 0 else math.inf
+    if bf01_target > 0:
+        log_target = math.log(bf01_target)
+        # log bf01 this near the target is on it to within rounding
+        rounding = 4.0 * sys.float_info.epsilon * max(1.0, abs(log_target))
+    else:
+        # no t reaches a nonpositive target; the bracket check below refuses it
+        log_target, rounding = math.inf, 0.0
     df = 2 * n - 2
 
     def t_of(y: float) -> float:
@@ -121,7 +130,7 @@ def calibrate_reference_t(
             raise ConvergenceError(
                 f"Bayes-factor target {bf01_target} not bracketed on t in [0, 10]"
             )
-        if fy == 0.0:
+        if abs(fy) <= rounding:
             return t_of(y)
         if fy > 0:
             lo = y

@@ -101,9 +101,19 @@ def test_calibration_survives_a_wrong_slope(monkeypatch, factor):
 
 @pytest.mark.parametrize("n, scale", [(5, 0.1), (50, 1.0), (1000, 10.0), (10_000, 0.1), (5, 10.0)])
 @pytest.mark.parametrize("t_root", [1e-4, 1e-3, 9.999, 10.0 - 1e-6])
-def test_calibration_targets_just_inside_the_bracket(n, scale, t_root):
+def test_calibration_targets_just_inside_the_bracket(monkeypatch, n, scale, t_root):
+    evaluations = []
+
+    def counted(*args, **kwargs):
+        evaluations.append(args)
+        return jzs_bayes_factor(*args, **kwargs)
+
     target = jzs_bayes_factor(_stats(t_root, n), CauchyPrior(scale)).bf01
+    monkeypatch.setattr(replicate, "jzs_bayes_factor", counted)
     t = calibrate_reference_t(target, n, scale)
+    # near t = 0 the search stops once log bf01 is on the target to within
+    # rounding, rather than jittering on steps in t; measured at most 6
+    assert len(evaluations) <= 6
     assert t == pytest.approx(t_root, abs=1e-10)
     assert t == pytest.approx(_brentq_root(target, n, scale), abs=1e-10)
 
@@ -208,8 +218,8 @@ def test_cli_analyze_leaves_numpy_ma_out(tmp_path):
 
 
 def test_cli_analyze_leaves_numpy_polynomial_out(tmp_path):
-    # the Gauss-Legendre rules of the two-sided Bayes factor come from a
-    # Newton iteration, not from numpy.polynomial's leggauss and its import
+    # the Bayes factor's trapezoid rule needs no tabulated nodes, so nothing
+    # imports numpy.polynomial
     assert _modules_after_cold_analyze(tmp_path, "numpy.polynomial") == "[]"
 
 
